@@ -7,7 +7,12 @@ import pytest
 from _bench_utils import print_block
 from repro.analysis import acceleration_comparison
 from repro.casestudy import paper_profiles
+from repro.dimensioning.first_fit import dimension_with_verification
+from repro.scheduler.packed import clear_packed_caches
 from repro.verification import instance_budgets, verify_slot_sharing
+
+#: The paper's first-fit partition of the six case-study applications.
+PAPER_PARTITION = (("C1", "C5", "C4", "C3"), ("C6", "C2"))
 
 
 @pytest.mark.benchmark(group="verification")
@@ -57,3 +62,24 @@ def test_acceleration_speedup_on_slot1_prefix(benchmark):
     # the number of applications (about 10x on the full 4-application slot S1,
     # see EXPERIMENTS.md) — on this 3-application prefix it is roughly 2x.
     assert comparison.state_reduction >= 1.5
+
+
+@pytest.mark.benchmark(group="verification")
+def test_bench_first_fit_sweep(benchmark):
+    """End-to-end first-fit over the six case-study applications from cold
+    packed caches (default admission test, ``auto`` engine): every trial
+    cold-compiles its slot configuration."""
+    profiles = paper_profiles()
+
+    def run():
+        return dimension_with_verification(profiles)
+
+    outcome = benchmark.pedantic(run, setup=clear_packed_caches, iterations=1, rounds=2)
+    print_block(
+        "Sec. 5 — first-fit sweep (auto engine, cold caches)",
+        [
+            f"partition: {outcome.partition()}",
+            f"{outcome.verifications} admission verifications",
+        ],
+    )
+    assert outcome.partition() == PAPER_PARTITION

@@ -15,7 +15,6 @@ Environment knobs honored by the server:
 * ``REPRO_SERVICE_SOCKET`` — default socket path (CLI flag wins).
 * ``REPRO_GRAPH_DIR`` — default graph-store directory (CLI flag wins).
 * ``REPRO_GRAPH_STORE_BYTES`` — byte budget of the store's LRU eviction.
-* ``REPRO_DELTA_WARMSTART=0`` — disable delta warm starts of cold compiles.
 * ``REPRO_VERIFICATION_ENGINE`` — engine override for cold compiles.
 """
 

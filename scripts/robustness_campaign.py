@@ -111,12 +111,6 @@ def main() -> int:
         help="per-scenario exploration cap",
     )
     parser.add_argument(
-        "--delta-every",
-        type=int,
-        default=4,
-        help="delta-warm-start check cadence (0 disables)",
-    )
-    parser.add_argument(
         "--fixtures-dir",
         default=os.path.join("tests", "robustness", "fixtures"),
         help="where divergence reproducers are persisted",
@@ -185,7 +179,6 @@ def main() -> int:
             start=args.start,
             engines=engines,
             max_states=args.max_states,
-            delta_every=args.delta_every,
             divergence_hook=hook,
             fixtures_dir=None if args.no_fixtures else args.fixtures_dir,
             progress=progress,

@@ -29,11 +29,7 @@ from ..verification.exhaustive import verify_slot_sharing
 from ..verification.result import VerificationResult
 
 #: An admission test maps a candidate application set to a feasibility
-#: verdict.  Tests may additionally accept a ``parent`` keyword (the slot's
-#: current, already-verified profile set); the dimensioner passes it when
-#: the callable supports it, so verifier-backed tests can delta-warm-start
-#: the candidate's state graph from the parent's (see
-#: :mod:`repro.verification.delta`).
+#: verdict.
 AdmissionTest = Callable[[Sequence[SwitchingProfile]], bool]
 
 
@@ -89,21 +85,6 @@ class DimensioningOutcome:
         return 1.0 - self.slot_count / other_slot_count
 
 
-def _accepts_parent(admission_test: AdmissionTest) -> bool:
-    """Whether an admission test takes the optional ``parent`` keyword."""
-    import inspect
-
-    try:
-        signature = inspect.signature(admission_test)
-    except (TypeError, ValueError):  # builtins, odd callables
-        return False
-    parameter = signature.parameters.get("parent")
-    return parameter is not None and parameter.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
-    )
-
-
 def paper_sort_order(profiles: Mapping[str, SwitchingProfile]) -> List[str]:
     """The paper's first-fit consideration order.
 
@@ -154,25 +135,10 @@ def default_admission_test(
             admission tests of configurations verified by *other*
             processes — earlier CI jobs, sibling dimensioning workers —
             start from the shipped graph and replay instead of exploring.
-
-    The returned test accepts an optional ``parent`` keyword — the slot's
-    current (already verified) profile set.  When given, the verifier
-    delta-warm-starts the candidate's compiled state graph from the
-    parent's instead of cold-compiling (:mod:`repro.verification.delta`):
-    the first-fit flow then runs as one cold compile per slot plus a delta
-    revalidation per admission trial, with byte-identical verdicts.
     """
     verdicts: Dict[Tuple[SwitchingProfile, ...], bool] = {}
-    # A first-fit sweep probes one slot's current contents against many
-    # candidates in a row; the parent's instance budgets (an O(parent)
-    # interference-horizon computation) are identical across those trials,
-    # so memoize them per parent profile set alongside the verdict memo.
-    parent_budgets: Dict[Tuple[SwitchingProfile, ...], Optional[Mapping[str, int]]] = {}
 
-    def admit(
-        profiles: Sequence[SwitchingProfile],
-        parent: Optional[Sequence[SwitchingProfile]] = None,
-    ) -> bool:
+    def admit(profiles: Sequence[SwitchingProfile]) -> bool:
         key = tuple(sorted(profiles, key=lambda profile: profile.name))
         cached = verdicts.get(key)
         if cached is not None:
@@ -181,14 +147,6 @@ def default_admission_test(
         kwargs = {}
         if max_states is not None:
             kwargs["max_states"] = max_states
-        if parent:
-            parent_key = tuple(sorted(parent, key=lambda profile: profile.name))
-            if parent_key not in parent_budgets:
-                parent_budgets[parent_key] = (
-                    instance_budgets(parent_key) if use_acceleration else None
-                )
-            kwargs["parent_profiles"] = tuple(parent)
-            kwargs["parent_instance_budget"] = parent_budgets[parent_key]
         result: VerificationResult = verify_slot_sharing(
             profiles,
             instance_budget=budget,
@@ -235,7 +193,6 @@ class FirstFitDimensioner:
         self.admission_test = admission_test or default_admission_test(
             engine=engine, graph_dir=graph_dir
         )
-        self._pass_parent = _accepts_parent(self.admission_test)
 
     def dimension(self, order: Optional[Sequence[str]] = None) -> DimensioningOutcome:
         """Run the first-fit flow and return the slot partition.
@@ -265,14 +222,7 @@ class FirstFitDimensioner:
                 candidate_names = slot + [name]
                 candidate = [self.profiles[member] for member in candidate_names]
                 verifications += 1
-                if self._pass_parent:
-                    # The slot's current contents are the verified parent
-                    # configuration the candidate extends: the admission
-                    # test can delta-warm-start from its compiled graph.
-                    parent = [self.profiles[member] for member in slot]
-                    admitted = bool(self.admission_test(candidate, parent=parent))
-                else:
-                    admitted = bool(self.admission_test(candidate))
+                admitted = bool(self.admission_test(candidate))
                 log.append((slot_index, tuple(candidate_names), admitted))
                 if admitted:
                     slot.append(name)

@@ -12,10 +12,7 @@ several engines and checks the equivalence contract of
   ``sequential``, whose discovery-order stop is documented to differ) on
   the visited count as well;
 * a second kernel run must *warm-replay* the compiled graph to the
-  identical outcome;
-* on a configurable subset, a delta-warm-started verification (child
-  compiled from its parent's published graph) must match a cold child
-  verification result-for-result.
+  identical outcome.
 
 Scenarios any engine truncates are recorded as ``skipped`` — a truncated
 run's verdict only covers the prefix that engine explored, so the contract
@@ -50,7 +47,6 @@ from ..verification.engine import (
     PackedStateSource,
     resolve_engine,
 )
-from ..verification.exhaustive import verify_slot_sharing
 from ..verification.spec import standard_spec_bundle
 from ..verification.spec_eval import evaluate_specs
 from .generator import Scenario, ScenarioGenerator
@@ -110,7 +106,6 @@ class ScenarioReport:
     divergence: Optional[str] = None
     elapsed_seconds: float = 0.0
     states_per_second: float = 0.0
-    delta_checked: bool = False
     fixture_path: Optional[str] = None
     #: Per-spec verdicts of the standard temporal bundle (``--specs`` runs):
     #: spec name -> True (holds) / False (violated) / None (undecided).
@@ -129,7 +124,6 @@ class ScenarioReport:
             "divergence": self.divergence,
             "elapsed_seconds": self.elapsed_seconds,
             "states_per_second": self.states_per_second,
-            "delta_checked": self.delta_checked,
             "fixture_path": self.fixture_path,
             "spec_verdicts": dict(self.spec_verdicts),
         }
@@ -320,55 +314,6 @@ def _compare(outcomes: Dict[str, ExplorationOutcome]) -> Tuple[str, Optional[str
     return "ok", None
 
 
-def _delta_divergence(
-    profiles: Sequence[SwitchingProfile],
-    budget: Dict[str, int],
-    max_states: int,
-    store_dir: str,
-) -> Optional[str]:
-    """Delta-warm-start identity check: child-from-parent == cold child."""
-    ordered = tuple(sorted(profiles, key=lambda profile: profile.name))
-    parent = ordered[:-1]
-    parent_budget = {
-        name: count
-        for name, count in budget.items()
-        if name in {profile.name for profile in parent}
-    }
-    clear_packed_caches()
-    cold = verify_slot_sharing(
-        ordered,
-        instance_budget=budget,
-        max_states=max_states,
-        with_counterexample=False,
-    )
-    clear_packed_caches()
-    verify_slot_sharing(
-        parent,
-        instance_budget=parent_budget,
-        max_states=max_states,
-        with_counterexample=False,
-        graph_dir=store_dir,
-    )
-    delta = verify_slot_sharing(
-        ordered,
-        instance_budget=budget,
-        max_states=max_states,
-        with_counterexample=False,
-        graph_dir=store_dir,
-        parent_profiles=parent,
-        parent_instance_budget=parent_budget,
-    )
-    if cold.truncated or delta.truncated:
-        return None
-    if (cold.feasible, cold.explored_states) != (delta.feasible, delta.explored_states):
-        return (
-            "delta warm-start mismatch: cold "
-            f"({cold.feasible}, {cold.explored_states}) vs delta "
-            f"({delta.feasible}, {delta.explored_states})"
-        )
-    return None
-
-
 # ------------------------------------------------------------------ shrinking
 #: Shrink operations: ``(op, app_position)`` pairs over the *name-sorted*
 #: profile tuple, so a recorded trace replays identically.
@@ -482,7 +427,6 @@ def run_campaign(
     start: int = 0,
     engines: Optional[Sequence[str]] = None,
     max_states: int = DEFAULT_MAX_STATES,
-    delta_every: int = 4,
     divergence_hook: Optional[Callable[..., Optional[str]]] = None,
     fixtures_dir: Optional[str] = None,
     progress: Optional[Callable[[ScenarioReport], None]] = None,
@@ -501,8 +445,6 @@ def run_campaign(
             :func:`default_campaign_engines` — the base matrix plus a
             two-worker sharded column on multi-core hosts.
         max_states: exploration cap; truncating scenarios are ``skipped``.
-        delta_every: run the delta-warm-start identity check on every
-            ``delta_every``-th multi-application scenario (0 disables).
         divergence_hook: test hook — called as ``hook(scenario, profiles,
             outcomes)`` after the built-in comparison and may return a
             synthetic divergence description; used to exercise the shrink
@@ -515,8 +457,6 @@ def run_campaign(
             non-skipped scenario's compiled graph; per-spec verdicts land on
             the reports and aggregate in the summary.
     """
-    import tempfile
-
     if engines is None:
         engines = default_campaign_engines()
     generator = ScenarioGenerator(seed)
@@ -527,40 +467,33 @@ def run_campaign(
         engines=tuple(engines),
         max_states=int(max_states),
     )
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-store-") as store_dir:
-        for scenario in generator.corpus(count, start):
-            began = time.perf_counter()
-            try:
-                report = _run_scenario(
-                    scenario,
-                    engines,
-                    max_states,
-                    delta_every,
-                    divergence_hook,
-                    store_dir,
-                    specs,
-                )
-            finally:
-                # Per-scenario hygiene: drop successor memos, compiled
-                # graphs and any open spill memmap handles even when the
-                # scenario aborts mid-exploration.
-                clear_packed_caches()
-            report.elapsed_seconds = time.perf_counter() - began
-            visited_total = sum(report.visited.values())
-            if report.elapsed_seconds > 0:
-                report.states_per_second = visited_total / report.elapsed_seconds
-            if report.verdict == "divergence" and fixtures_dir:
-                report.fixture_path = _persist_divergence(
-                    scenario,
-                    report,
-                    engines,
-                    max_states,
-                    divergence_hook,
-                    fixtures_dir,
-                )
-            result.reports.append(report)
-            if progress is not None:
-                progress(report)
+    for scenario in generator.corpus(count, start):
+        began = time.perf_counter()
+        try:
+            report = _run_scenario(
+                scenario, engines, max_states, divergence_hook, specs
+            )
+        finally:
+            # Per-scenario hygiene: drop successor memos, compiled graphs
+            # and any open spill memmap handles even when the scenario
+            # aborts mid-exploration.
+            clear_packed_caches()
+        report.elapsed_seconds = time.perf_counter() - began
+        visited_total = sum(report.visited.values())
+        if report.elapsed_seconds > 0:
+            report.states_per_second = visited_total / report.elapsed_seconds
+        if report.verdict == "divergence" and fixtures_dir:
+            report.fixture_path = _persist_divergence(
+                scenario,
+                report,
+                engines,
+                max_states,
+                divergence_hook,
+                fixtures_dir,
+            )
+        result.reports.append(report)
+        if progress is not None:
+            progress(report)
     return result
 
 
@@ -568,9 +501,7 @@ def _run_scenario(
     scenario: Scenario,
     engines: Sequence[str],
     max_states: int,
-    delta_every: int,
     divergence_hook,
-    store_dir: str,
     specs: bool = False,
 ) -> ScenarioReport:
     profiles = scenario.profiles
@@ -596,17 +527,6 @@ def _run_scenario(
     )
     if specs and verdict != "skipped":
         report.spec_verdicts = _scenario_spec_verdicts(profiles, budget, max_states)
-    if (
-        verdict == "ok"
-        and delta_every
-        and len(profiles) > 1
-        and scenario.index % delta_every == 0
-    ):
-        report.delta_checked = True
-        delta_divergence = _delta_divergence(profiles, budget, max_states, store_dir)
-        if delta_divergence:
-            report.verdict = "divergence"
-            report.divergence = delta_divergence
     return report
 
 

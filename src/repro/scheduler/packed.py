@@ -496,53 +496,6 @@ class PackedSlotSystem:
         )
         return expander.expand(matrix)
 
-    def expand_frontier_masked(self, word_matrix, required_mask: int, masked_rows=None):
-        """Expand only the transitions whose arrival subset meets a mask.
-
-        The delta-verification kernel: when a frontier state is a lifted
-        parent state (see :mod:`repro.verification.delta`), the successor
-        rows of arrival subsets that avoid the *added* applications are
-        already compiled in the parent graph, so only the subsets that
-        intersect ``required_mask`` need expanding here.
-
-        Args:
-            word_matrix: ``(count, packed_words)`` ``uint64`` frontier rows.
-            required_mask: application bit mask; only transitions whose
-                arrival subset intersects it are produced.
-            masked_rows: optional boolean array over the frontier rows; the
-                subset filter applies only where True, rows flagged False
-                expand in full.  ``None`` filters every row.  Mixed
-                frontiers (lifted parent states among ordinary ones) expand
-                in a single kernel pass this way instead of two.
-
-        Returns:
-            ``(succ_words, event_bits, origin_index, positions, counts)``:
-            the first three as in :meth:`expand_frontier` but restricted to
-            the produced transitions, ``positions`` the enumeration rank of
-            each produced transition within its state's *full* subset
-            enumeration (subsets ascending by size, then lexicographically),
-            and ``counts`` the full per-state enumeration size — together
-            they let the caller interleave reused parent rows back into the
-            exact cold expansion order.
-
-        Raises:
-            SchedulingError: when the configuration cannot use the
-                vectorized kernel (see :attr:`can_expand_frontier`).
-        """
-        import numpy as np
-
-        expander = self._frontier_expander()
-        if not expander.ok:
-            raise SchedulingError(
-                "configuration too wide for the vectorized expansion kernel; "
-                "check can_expand_frontier and use successors()/"
-                "successor_tables_words() instead"
-            )
-        matrix = np.ascontiguousarray(word_matrix, dtype=np.uint64).reshape(
-            -1, self.packed_words
-        )
-        return expander.expand_masked(matrix, int(required_mask), masked_rows)
-
     def successor_tables_words(self, word_matrix):
         """Successor tables of a frontier given as packed word rows.
 
@@ -1164,15 +1117,6 @@ class _FrontierExpander:
     # ------------------------------------------------------------- expansion
     def expand(self, matrix):
         """Expand every state of a word-row frontier (see ``expand_frontier``)."""
-        succ, events, origin, _, _ = self._expand(matrix, None, None)
-        return succ, events, origin
-
-    def expand_masked(self, matrix, required_mask: int, masked_rows=None):
-        """Expand only transitions whose arrival subset intersects a mask
-        (see :meth:`PackedSlotSystem.expand_frontier_masked`)."""
-        return self._expand(matrix, required_mask, masked_rows)
-
-    def _expand(self, matrix, required_mask: Optional[int], masked_rows):
         np = self._np
         system = self.system
         n = self.n
@@ -1182,8 +1126,6 @@ class _FrontierExpander:
             return (
                 np.zeros((0, words), dtype=np.uint64),
                 np.zeros(0, dtype=np.uint64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64),
             )
 
@@ -1241,16 +1183,6 @@ class _FrontierExpander:
         within = np.arange(total, dtype=np.int64) - np.repeat(indptr[:-1], counts)
         lut, lut_row = self._subset_lut(eligible)
         amask = lut[lut_row[origin], within]
-        if required_mask is not None:
-            # Delta expansion: drop every transition whose arrival subset
-            # avoids the required applications before the heavy per-row
-            # work below — their successor rows come from the parent graph.
-            keep = (amask & np.uint64(required_mask)) != 0
-            if masked_rows is not None:
-                keep |= ~masked_rows[origin]
-            origin = origin[keep]
-            amask = amask[keep]
-            within = within[keep]
 
         merged = buffer_mask[origin] | amask
         merged_nonempty = merged != 0
@@ -1349,7 +1281,7 @@ class _FrontierExpander:
                 << np.uint64(system._ev_released_shift)
             )
         )
-        return succ, events, origin, within, counts
+        return succ, events, origin
 
 
 def advance_packed(

@@ -237,7 +237,6 @@ class ServiceClient:
         max_states: Optional[int] = None,
         with_counterexample: bool = False,
         minimize: bool = False,
-        parent_profiles: Optional[Sequence[SwitchingProfile]] = None,
         deadline: Optional[float] = None,
     ) -> VerificationResult:
         """Verify one slot configuration; returns the usual result object."""
@@ -245,11 +244,7 @@ class ServiceClient:
             "verify",
             deadline=deadline,
             **self._verify_fields(
-                profiles,
-                use_acceleration,
-                instance_budget,
-                max_states,
-                parent_profiles,
+                profiles, use_acceleration, instance_budget, max_states
             ),
             with_counterexample=with_counterexample,
             minimize=minimize,
@@ -262,7 +257,6 @@ class ServiceClient:
         use_acceleration: bool = True,
         instance_budget: Optional[Mapping[str, int]] = None,
         max_states: Optional[int] = None,
-        parent_profiles: Optional[Sequence[SwitchingProfile]] = None,
         deadline: Optional[float] = None,
     ) -> bool:
         """Admission test: may these profiles share one TT slot?"""
@@ -270,11 +264,7 @@ class ServiceClient:
             "admit",
             deadline=deadline,
             **self._verify_fields(
-                profiles,
-                use_acceleration,
-                instance_budget,
-                max_states,
-                parent_profiles,
+                profiles, use_acceleration, instance_budget, max_states
             ),
         )
         if response.get("truncated"):
@@ -295,7 +285,7 @@ class ServiceClient:
         response = self.request(
             "counterexample",
             **self._verify_fields(
-                profiles, use_acceleration, instance_budget, max_states, None
+                profiles, use_acceleration, instance_budget, max_states
             ),
             minimize=minimize,
         )
@@ -308,7 +298,6 @@ class ServiceClient:
         use_acceleration: bool = True,
         instance_budget: Optional[Mapping[str, int]] = None,
         max_states: Optional[int] = None,
-        parent_profiles: Optional[Sequence[SwitchingProfile]] = None,
         deadline: Optional[float] = None,
     ) -> List["SpecVerdict"]:
         """Evaluate temporal specs server-side; verdicts in request order.
@@ -332,11 +321,7 @@ class ServiceClient:
             "check",
             deadline=deadline,
             **self._verify_fields(
-                profiles,
-                use_acceleration,
-                instance_budget,
-                max_states,
-                parent_profiles,
+                profiles, use_acceleration, instance_budget, max_states
             ),
             specs=wire_specs,
         )
@@ -365,22 +350,13 @@ class ServiceClient:
     ):
         """An admission-test callable backed by this client.
 
-        The returned callable has the ``(profiles, parent=None)`` shape the
-        first-fit dimensioner sniffs for, so
         ``FirstFitDimensioner(profiles, admission_test=client.admission_test())``
-        verifies every trial against the server (and its shared store) —
-        parent-aware, so cold compiles delta-warm-start server-side.
+        verifies every trial against the server (and its shared store).
         """
 
-        def admit(
-            profiles: Sequence[SwitchingProfile],
-            parent: Optional[Sequence[SwitchingProfile]] = None,
-        ) -> bool:
+        def admit(profiles: Sequence[SwitchingProfile]) -> bool:
             return self.admit(
-                profiles,
-                use_acceleration=use_acceleration,
-                max_states=max_states,
-                parent_profiles=parent,
+                profiles, use_acceleration=use_acceleration, max_states=max_states
             )
 
         return admit
@@ -392,7 +368,6 @@ class ServiceClient:
         use_acceleration: bool,
         instance_budget: Optional[Mapping[str, int]],
         max_states: Optional[int],
-        parent_profiles: Optional[Sequence[SwitchingProfile]],
     ) -> Dict[str, Any]:
         fields: Dict[str, Any] = {
             "profiles": profiles_to_wire(profiles),
@@ -402,10 +377,4 @@ class ServiceClient:
             fields["instance_budget"] = dict(instance_budget)
         if max_states is not None:
             fields["max_states"] = int(max_states)
-        if parent_profiles:
-            fields["parent_profiles"] = profiles_to_wire(parent_profiles)
-            if use_acceleration:
-                from ..verification.acceleration import instance_budgets
-
-                fields["parent_instance_budget"] = instance_budgets(parent_profiles)
         return fields

@@ -35,8 +35,7 @@ Operations:
 ``admit``
     Admission test: same fields as ``verify``, but the response carries
     only ``admitted`` (and ``tier``) — the shape the first-fit dimensioner
-    consumes.  ``parent_profiles`` (optional) names the slot's current,
-    already-verified contents so cold compiles delta-warm-start.
+    consumes.
 ``counterexample``
     ``verify`` with the witness always requested and minimized by default.
 ``check``

@@ -18,10 +18,6 @@ Architecture (the thin-hot-path shape of high-rate acquisition systems):
   against the shared store directory — results are byte-identical to a
   direct call, and the published graph turns every subsequent query for
   that fingerprint into a hot-path replay.
-* **Delta warm starts.**  Admission queries name the slot's current
-  contents (``parent_profiles``); cold compiles then warm-start from the
-  parent's published graph through the store's lineage instead of
-  compiling from scratch.
 
 The server holds at most the ``packed_system_for`` LRU's worth of graphs
 in memory (16 configurations); everything else lives in the store, bounded
@@ -77,18 +73,12 @@ DEFAULT_STORE_DIR = os.path.join(
 # ordinary one-shot front-ends against the shared store directory, which is
 # exactly what makes server results byte-identical to direct calls.
 def _verify_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    profiles = profiles_from_wire(payload["profiles"])
-    kwargs: Dict[str, Any] = {}
-    if payload.get("parent_profiles"):
-        kwargs["parent_profiles"] = profiles_from_wire(payload["parent_profiles"])
-        kwargs["parent_instance_budget"] = payload.get("parent_instance_budget")
     result = verify_slot_sharing(
-        profiles,
+        profiles_from_wire(payload["profiles"]),
         instance_budget=payload.get("budget"),
         max_states=payload["max_states"],
         with_counterexample=True,
         graph_dir=payload["store_dir"],
-        **kwargs,
     )
     return result_to_wire(result, with_counterexample=True)
 
@@ -458,8 +448,6 @@ class VerificationService:
             "budget": budget,
             "max_states": max_states,
             "store_dir": self.store_dir,
-            "parent_profiles": request.get("parent_profiles"),
-            "parent_instance_budget": request.get("parent_instance_budget"),
         }
         return await self._single_flight(
             f"{fingerprint}:{max_states}", _verify_job, payload

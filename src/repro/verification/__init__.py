@@ -42,8 +42,7 @@ through the ``REPRO_VERIFICATION_ENGINE`` environment variable.  The default
 ``"auto"`` picks the sharded engine for packed systems whose estimated state
 space is large when more than one core is usable, the compiled kernel for
 every other packed system the vectorized expansion supports (the graph is
-compiled during the first exploration and replayed afterwards; parent
-handles delta-warm-start it, see :mod:`repro.verification.delta`), and the
+compiled during the first exploration and replayed afterwards), and the
 sequential engine otherwise.  All engines explore the identical state space — identical
 visited counts on feasible instances and, on every *complete* (non-
 truncated) run, identical verdicts and witness depths.  A run truncated by
@@ -67,14 +66,6 @@ from .engine import (
     VectorizedEngine,
     available_worker_count,
     resolve_engine,
-)
-from .delta import (
-    DELTA_ENV_VAR,
-    ConfigDelta,
-    DeltaHints,
-    config_delta,
-    maybe_warm_start_graph,
-    warm_start_graph,
 )
 from .exhaustive import DEFAULT_MAX_STATES, ExhaustiveVerifier, verify_slot_sharing
 from .kernel import (
@@ -145,12 +136,6 @@ __all__ = [
     "maybe_load_graph",
     "maybe_save_graph",
     "GRAPH_DIR_ENV_VAR",
-    "ConfigDelta",
-    "DeltaHints",
-    "config_delta",
-    "warm_start_graph",
-    "maybe_warm_start_graph",
-    "DELTA_ENV_VAR",
     "GraphStore",
     "GraphStoreClaim",
     "store_for",

@@ -1833,9 +1833,8 @@ def resolve_engine(
             graph is already frozen replays on the kernel engine for free,
             large packed products shard when several cores are usable,
             every other packed source the vectorized kernel can expand
-            *compiles* on the kernel engine (so later ``auto`` runs replay
-            and delta warm starts find parent graphs), and everything else
-            runs sequential.  Counts of ``auto`` runs are therefore
+            *compiles* on the kernel engine (so later ``auto`` runs
+            replay), and everything else runs sequential.  Counts of ``auto`` runs are therefore
             level-synchronous for packed sources (see the semantics notes
             above and ``VerificationResult.count_semantics``); only generic
             sources and kernel-incompatible configurations report the
@@ -1890,10 +1889,8 @@ def resolve_engine(
             if source.system.can_expand_frontier:
                 # Default for packed sources: compile the state graph during
                 # the first exploration, so every later ``auto`` run of the
-                # same configuration replays it in microseconds — and delta
-                # warm starts (:mod:`repro.verification.delta`) always find
-                # a parent graph to lift.  Counts are level-synchronous
-                # (see :class:`CompiledKernelEngine`).
+                # same configuration replays it in microseconds.  Counts
+                # are level-synchronous (see :class:`CompiledKernelEngine`).
                 return CompiledKernelEngine()
         return SequentialPackedEngine()
     if normalized == "sequential":

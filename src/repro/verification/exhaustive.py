@@ -47,7 +47,6 @@ from ..exceptions import VerificationError
 from ..scheduler.packed import packed_system_for
 from ..scheduler.slot_system import SlotSystemConfig
 from ..switching.profile import SwitchingProfile
-from .delta import maybe_warm_start_graph
 from .engine import CompiledKernelEngine, PackedStateSource, resolve_engine
 from .kernel import (
     GRAPH_DIR_ENV_VAR,
@@ -84,19 +83,6 @@ class ExhaustiveVerifier:
             replay it instead of re-expanding) and saves freshly completed
             graphs back, shipping warm graphs across processes and CI
             jobs.
-        parent_profiles: optional profiles of a *parent* configuration — a
-            previously verified neighbor that this configuration extends
-            (first-fit admission trials probe ``slot + [candidate]``
-            against the slot's current contents).  When the parent's
-            compiled graph is available — in memory, or in ``graph_dir``
-            under its fingerprint lineage key — and the delta is a pure
-            extension, the child graph is delta-warm-started from it
-            instead of cold-compiled (see
-            :mod:`repro.verification.delta`; ``REPRO_DELTA_WARMSTART=0``
-            disables).  Results are byte-identical either way.
-        parent_instance_budget: instance budgets the parent configuration
-            was verified with (budgets are part of the packed encoding, so
-            the parent graph is keyed on them).
     """
 
     def __init__(
@@ -106,8 +92,6 @@ class ExhaustiveVerifier:
         max_states: int = DEFAULT_MAX_STATES,
         engine: object = None,
         graph_dir: Optional[str] = None,
-        parent_profiles: Optional[Sequence[SwitchingProfile]] = None,
-        parent_instance_budget: Optional[Mapping[str, int]] = None,
     ) -> None:
         if not profiles:
             raise VerificationError("at least one application profile is required")
@@ -127,14 +111,6 @@ class ExhaustiveVerifier:
         #: Whether this verifier adopted a partial-exploration checkpoint
         #: (set by :meth:`_compile_claim` / :meth:`_ensure_compiled_graph`).
         self.resumed_from_checkpoint = False
-        self.warm_started = False
-        if parent_profiles:
-            parent_config = SlotSystemConfig.from_profiles(
-                parent_profiles, parent_instance_budget
-            )
-            self.warm_started = maybe_warm_start_graph(
-                self.packed, parent_config, self.graph_dir
-            )
 
     # ----------------------------------------------------------------- search
     def verify(
@@ -195,20 +171,10 @@ class ExhaustiveVerifier:
             for name in names
             if name in self._instance_budget and self._instance_budget[name] is not None
         )
-        engine_name = outcome.engine
-        graph = self.packed.compiled_graph
-        if (
-            engine_name == "kernel"
-            and graph is not None
-            and (graph.delta_stats or graph.delta_hints is not None)
-        ):
-            # The graph was (at least partly) delta-warm-started from a
-            # parent configuration's graph; surface it in the method tag.
-            engine_name = "kernel+delta"
         method = (
             "exhaustive"
-            if engine_name == "sequential"
-            else f"exhaustive[{engine_name}]"
+            if outcome.engine == "sequential"
+            else f"exhaustive[{outcome.engine}]"
         )
         result = VerificationResult(
             feasible=feasible,
@@ -309,11 +275,6 @@ class ExhaustiveVerifier:
                 return None
             self._adopt_checkpoint(store)
             return claim
-        if self.packed.compiled_graph is not None:
-            # A delta-warm-started compile is typically cheaper than
-            # waiting out the claim holder's cold compile; just run it
-            # (the publish is idempotent either way).
-            return None
         store.wait_for(fingerprint)
         if maybe_load_graph(self.packed, self.graph_dir):
             return None
@@ -381,26 +342,16 @@ def verify_slot_sharing(
     engine: object = None,
     minimize: bool = False,
     graph_dir: Optional[str] = None,
-    parent_profiles: Optional[Sequence[SwitchingProfile]] = None,
-    parent_instance_budget: Optional[Mapping[str, int]] = None,
     specs=None,
 ) -> VerificationResult:
     """Verify that the given applications can safely share one TT slot.
 
-    Convenience wrapper around :class:`ExhaustiveVerifier`; pass
-    ``parent_profiles`` (and the budgets they were verified with) to
-    delta-warm-start from the parent configuration's compiled graph, and
-    ``specs`` to additionally check temporal properties on the compiled
-    graph (``result.spec_verdicts``).
+    Convenience wrapper around :class:`ExhaustiveVerifier`; pass ``specs``
+    to additionally check temporal properties on the compiled graph
+    (``result.spec_verdicts``).
     """
     verifier = ExhaustiveVerifier(
-        profiles,
-        instance_budget,
-        max_states,
-        engine=engine,
-        graph_dir=graph_dir,
-        parent_profiles=parent_profiles,
-        parent_instance_budget=parent_instance_budget,
+        profiles, instance_budget, max_states, engine=engine, graph_dir=graph_dir
     )
     return verifier.verify(
         with_counterexample=with_counterexample, minimize=minimize, specs=specs

@@ -791,9 +791,6 @@ class CompiledStateGraph:
         "_labels",
         "_parent_ids",
         "_parent_labels",
-        "delta_hints",
-        "delta_stats",
-        "delta_export",
         "checkpoint",
         "expansion_count",
         "resumed_levels",
@@ -827,21 +824,6 @@ class CompiledStateGraph:
         self._labels = _GrowableRows(np.uint64, store=self.store)
         self._parent_ids = _GrowableRows(np.int32, store=self.store)
         self._parent_labels = _GrowableRows(np.uint64, store=self.store)
-        #: Parent-graph reuse data of a delta warm start
-        #: (:class:`~repro.verification.delta.DeltaHints`), held only while
-        #: compiling and dropped when the graph freezes.
-        self.delta_hints = None
-        #: Row counters of a consumed warm start (``None`` for cold-built
-        #: graphs): how many CSR rows came from the parent graph vs fresh
-        #: expansion, and the parent fingerprint — kept after the hints are
-        #: dropped so callers can report the delta reuse.
-        self.delta_stats: Optional[dict] = None
-        #: Candidate-independent warm-start export of *this* graph acting
-        #: as a delta parent (:func:`repro.verification.delta.parent_export`)
-        #: — extracted state fields and int64 CSR copies shared by every
-        #: child warm-started from it in a first-fit sweep.  Built lazily,
-        #: dropped with the graph.
-        self.delta_export = None
         #: Active :class:`CheckpointPolicy`, or ``None`` (the default: no
         #: checkpoint overhead).  Installed via :meth:`set_checkpoint_policy`
         #: by the compile-claim holder.
@@ -939,18 +921,9 @@ class CompiledStateGraph:
         self.expansion_count += 1
         first, last = self.level_ptr[k], self.level_ptr[k + 1]
         frontier_words = self.table.state_words[first:last]
-        expanded = None
-        if self.delta_hints is not None:
-            expanded = self._expand_level_delta(frontier_words)
-            if expanded is None and self.delta_hints is None:
-                logger.warning(
-                    "delta warm start abandoned at level %d (parent rows "
-                    "inconsistent with the masked expansion); cold-compiling",
-                    k,
-                )
-        if expanded is None:
-            expanded = self.system.successor_tables_words_origin(frontier_words)
-        indptr, succ_words, masks, miss, origin = expanded
+        indptr, succ_words, masks, miss, origin = (
+            self.system.successor_tables_words_origin(frontier_words)
+        )
         self.expanded_levels = k + 1
         if miss.any():
             frontier = self.states_as_ints(first, last)
@@ -1017,91 +990,6 @@ class CompiledStateGraph:
             return
         policy.sink(self.system)
         policy.note_written(self)
-
-    def _expand_level_delta(self, frontier_words: np.ndarray):
-        """Delta-reuse expansion of one frontier (warm-started graphs).
-
-        Frontier states that are lifted parent states (see
-        :mod:`repro.verification.delta`) get the successor rows of arrival
-        subsets avoiding the added applications gathered from the parent
-        CSR — already-translated words, bit-remapped labels, never a miss
-        (the parent graph is complete and error-free) — and only the
-        subsets disturbing an added application run through the masked
-        expansion kernel.  The two row groups interleave by enumeration
-        rank, so the produced tables are *identical* to a full expansion
-        and the compiled graph stays byte-for-byte equal to a cold one.
-
-        Returns the ``(indptr, succ_words, masks, miss, origin)`` tuple of
-        :meth:`~repro.scheduler.packed.PackedSlotSystem
-        .successor_tables_words_origin`, or ``None`` when the level has no
-        lifted states (caller expands normally, hints stay) or the parent
-        rows failed the consistency check (hints are dropped, caller
-        cold-compiles).
-        """
-        hints = self.delta_hints
-        system = self.system
-        count = frontier_words.shape[0]
-        parent_ids = hints.lookup(frontier_words)
-        seed = parent_ids >= 0
-        seed_rows = np.flatnonzero(seed)
-        if seed_rows.size == 0:
-            return None
-
-        # One fused kernel pass over the whole frontier: lifted states
-        # expand only their added-app subsets, ordinary states in full.
-        p_succ, p_events, p_origin, p_pos, full_counts = (
-            system.expand_frontier_masked(frontier_words, hints.added_mask, seed)
-        )
-        r_succ, r_labels, r_counts = hints.reused_rows(parent_ids[seed_rows])
-        produced = np.bincount(p_origin, minlength=count)
-        if not np.array_equal(
-            full_counts[seed_rows] - produced[seed_rows], r_counts
-        ):
-            # The parent rows do not tile the child enumeration — the
-            # parent graph does not describe this child after all.  Drop
-            # the hints; the caller redoes this level cold.
-            self.delta_hints = None
-            return None
-
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(full_counts, out=indptr[1:])
-        total = int(indptr[-1])
-        starts = indptr[:-1]
-
-        succ_words = np.empty((total, self.words), dtype=np.uint64)
-        masks = np.empty(total, dtype=np.uint64)
-        miss = np.zeros(total, dtype=bool)
-        origin = np.repeat(np.arange(count, dtype=np.int64), full_counts)
-        taken = np.zeros(total, dtype=bool)
-
-        dest = starts[p_origin] + p_pos
-        succ_words[dest] = p_succ
-        masks[dest] = (
-            p_events >> np.uint64(system._ev_admitted_shift)
-        ) & np.uint64(system.miss_field)
-        miss[dest] = (p_events & np.uint64(system.miss_field)) != 0
-        taken[dest] = True
-
-        # Reused parent rows fill the remaining enumeration slots in
-        # ascending order: the index map is monotone, so the parent CSR
-        # order equals the child enumeration order of its subsets.
-        reused_dest = np.flatnonzero(~taken)
-        succ_words[reused_dest] = r_succ
-        masks[reused_dest] = r_labels
-
-        hints.stats["reused_rows"] += int(r_succ.shape[0])
-        hints.stats["expanded_rows"] += int(total - r_succ.shape[0])
-        return indptr, succ_words, masks, miss, origin
-
-    def _freeze_delta_hints(self) -> None:
-        """Drop the warm-start hints once compilation stops, keeping stats."""
-        hints = self.delta_hints
-        if hints is None:
-            return
-        stats = dict(hints.stats)
-        stats["parent_fingerprint"] = hints.parent_fingerprint
-        self.delta_stats = stats
-        self.delta_hints = None
 
     # -------------------------------------------------------- serialization
     def save(self, path) -> None:
@@ -1280,12 +1168,6 @@ class CompiledStateGraph:
         while True:
             if self.expanded_levels <= k and self.error is None and not self.complete:
                 self._expand_next_level()
-                if self.delta_hints is not None and (
-                    self.complete or self.error is not None
-                ):
-                    # Compilation stopped: the parent-reuse data has served
-                    # its purpose, keep only the counters.
-                    self._freeze_delta_hints()
                 if self.checkpoint is not None:
                     self._maybe_checkpoint()
             levels += 1

@@ -5,8 +5,7 @@ no size bound, no eviction and only a best-effort concurrency story (atomic
 temp-rename publishes, but two processes compiling the same configuration
 still duplicated the cold work).  :class:`GraphStore` upgrades that
 directory into a proper artifact store while keeping the on-disk layout
-byte-compatible (``graph-<fingerprint>.npz`` entries, ``.parent`` lineage
-sidecars), so existing caches — including CI-restored ones — keep working:
+byte-compatible (``graph-<fingerprint>.npz`` entries), so existing caches — including CI-restored ones — keep working:
 
 * **Content addressing.**  Entries are keyed by the sha256 configuration
   fingerprint (:func:`~repro.verification.kernel.config_fingerprint`):
@@ -24,11 +23,7 @@ sidecars), so existing caches — including CI-restored ones — keep working:
   ``max_bytes`` argument) bounds the total entry bytes; a publish evicts
   least-recently-used entries (loads refresh an entry's mtime) until the
   store fits.  Entries pinned by an in-flight query (:meth:`pin`) or
-  currently claimed by a compiler are never evicted, and eviction drops
-  orphaned ``.parent`` sidecars along the way.
-* **Lineage sidecars.**  :meth:`record_lineage` / :meth:`parent_of` persist
-  the parent fingerprint of delta-warm-started graphs
-  (:mod:`repro.verification.delta`) next to the child entry.
+  currently claimed by a compiler are never evicted.
 * **Corrupt entries log-and-recompile.**  A load that fails for any reason
   (truncated file, stale format, fingerprint mismatch) logs a warning,
   drops the entry from the store and reports a miss — a corrupt cache must
@@ -163,10 +158,6 @@ class GraphStore:
     def entry_path(self, fingerprint: str) -> str:
         """On-disk path of a fingerprint's graph entry."""
         return os.path.join(self.directory, f"graph-{fingerprint}.npz")
-
-    def lineage_path(self, fingerprint: str) -> str:
-        """On-disk path of a fingerprint's ``.parent`` lineage sidecar."""
-        return self.entry_path(fingerprint) + ".parent"
 
     def claim_path(self, fingerprint: str) -> str:
         """On-disk path of a fingerprint's single-flight lockfile."""
@@ -408,46 +399,11 @@ class GraphStore:
             pass
 
     def _unlink_entry(self, fingerprint: str) -> None:
-        """Remove an entry and its lineage sidecar (best-effort)."""
-        for path in (self.entry_path(fingerprint), self.lineage_path(fingerprint)):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    # ---------------------------------------------------------------- lineage
-    def record_lineage(self, child_fingerprint: str, parent_fingerprint: str) -> None:
-        """Persist the parent fingerprint of a delta-warm-started graph.
-
-        Atomic and best-effort like :meth:`publish`; an existing sidecar is
-        left untouched (lineage is content-addressed too: equal child
-        fingerprints were lifted from equal parents).
-        """
-        from .kernel import _temp_cache_path
-
-        path = self.lineage_path(child_fingerprint)
-        if os.path.exists(path):
-            return
-        temp_path = _temp_cache_path(path)
+        """Remove an entry (best-effort)."""
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                handle.write(parent_fingerprint + "\n")
-            os.replace(temp_path, path)
-        except OSError as error:
-            logger.warning("could not record graph lineage at %s: %s", path, error)
-        finally:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-
-    def parent_of(self, fingerprint: str) -> Optional[str]:
-        """The recorded parent fingerprint of an entry (``None`` when root)."""
-        try:
-            with open(self.lineage_path(fingerprint), "r", encoding="utf-8") as handle:
-                parent = handle.read().strip()
+            os.unlink(self.entry_path(fingerprint))
         except OSError:
-            return None
-        return parent or None
+            pass
 
     # ----------------------------------------------------------- single flight
     @staticmethod
@@ -574,12 +530,10 @@ class GraphStore:
         """One LRU eviction pass; returns the evicted fingerprints.
 
         Sweeps crash debris first: publish temp files
-        (``graph-*.npz.tmp-<pid>-<n>`` and their ``.parent`` staging twins)
-        whose writer died mid-publish are deleted once they are older than
+        (``graph-*.npz.tmp-<pid>-<n>``) whose writer died mid-publish are deleted once they are older than
         :attr:`claim_timeout` — a live publisher stages for milliseconds,
         so an old temp file can only be an interrupted one.  Then drops
-        orphaned ``.parent`` sidecars (their entry is gone) and ``.ckpt``
-        checkpoints superseded by a published entry unconditionally, and
+        ``.ckpt`` checkpoints superseded by a published entry unconditionally, and
         finally — when a byte budget is configured — removes
         least-recently-used entries until the store fits, skipping entries
         pinned by in-flight queries and entries whose compile claim is
@@ -595,7 +549,6 @@ class GraphStore:
         except OSError:
             return []
         present = set()
-        sidecars = []
         checkpoints = []
         now = time.time()
         for name in names:
@@ -616,16 +569,8 @@ class GraphStore:
                         os.unlink(path)
                     except OSError:
                         pass
-            elif name.startswith("graph-") and name.endswith(".npz.parent"):
-                sidecars.append(name[len("graph-") : -len(".npz.parent")])
             elif name.startswith("graph-") and name.endswith(".npz.ckpt"):
                 checkpoints.append(name[len("graph-") : -len(".npz.ckpt")])
-        for fingerprint in sidecars:
-            if fingerprint not in present:
-                try:
-                    os.unlink(self.lineage_path(fingerprint))
-                except OSError:
-                    pass
         for fingerprint in list(checkpoints):
             if fingerprint in present:
                 # The complete graph landed; the checkpoint is superseded.

@@ -109,15 +109,6 @@ class TestFirstFit:
 
 
 class TestVerificationBackedDimensioning:
-    def test_case_study_headline_result(self, case_study_profiles):
-        """The paper's headline: 2 slots with the exact partitions of Sec. 5."""
-        outcome = dimension_with_verification(case_study_profiles)
-        assert outcome.slot_count == 2
-        partition = {frozenset(slot) for slot in outcome.partition()}
-        assert frozenset({"C1", "C5", "C4", "C3"}) in partition
-        assert frozenset({"C6", "C2"}) in partition
-        assert outcome.order == ("C1", "C5", "C4", "C6", "C2", "C3")
-
     def test_two_application_subset(self, case_study_profiles):
         subset = {name: case_study_profiles[name] for name in ("C6", "C2")}
         outcome = dimension_with_verification(subset)

@@ -20,7 +20,7 @@ SMOKE_COUNT = 20
 
 class TestSmokeCampaign:
     def test_smoke_slice_has_zero_divergences(self):
-        result = run_campaign(SMOKE_SEED, SMOKE_COUNT, delta_every=10)
+        result = run_campaign(SMOKE_SEED, SMOKE_COUNT)
         assert len(result.reports) == SMOKE_COUNT
         assert result.divergences == []
         summary = result.summary()
@@ -28,10 +28,9 @@ class TestSmokeCampaign:
         # The slice must exercise both verdicts to mean anything.
         assert summary["feasible"] > 0
         assert summary["infeasible"] > 0
-        assert any(report.delta_checked for report in result.reports)
 
     def test_reports_carry_throughput_and_engine_counts(self):
-        result = run_campaign(SMOKE_SEED, 5, delta_every=0)
+        result = run_campaign(SMOKE_SEED, 5)
         for report in result.reports:
             assert set(report.visited) >= {"sequential", "vectorized", "kernel"}
             assert "kernel-replay" in report.visited
@@ -43,8 +42,8 @@ class TestSmokeCampaign:
 
     def test_single_scenario_replay_matches_campaign_member(self):
         """`--start INDEX --count 1` reproduces the in-campaign report."""
-        full = run_campaign(SMOKE_SEED, 6, delta_every=0)
-        replay = run_campaign(SMOKE_SEED, 1, start=4, delta_every=0)
+        full = run_campaign(SMOKE_SEED, 6)
+        replay = run_campaign(SMOKE_SEED, 1, start=4)
         member = full.reports[4]
         solo = replay.reports[0]
         assert (solo.index, solo.verdict, solo.feasible) == (
@@ -70,7 +69,6 @@ class TestInjectedDivergence:
         result = run_campaign(
             SMOKE_SEED,
             3,
-            delta_every=0,
             divergence_hook=self._hook(1),
             fixtures_dir=str(fixtures),
         )
@@ -94,7 +92,6 @@ class TestInjectedDivergence:
         run_campaign(
             SMOKE_SEED,
             3,
-            delta_every=0,
             divergence_hook=self._hook(2),
             fixtures_dir=str(fixtures),
         )
@@ -146,7 +143,7 @@ class TestAbortHygiene:
             raise Boom("injected crash after exploration")
 
         with pytest.raises(Boom):
-            run_campaign(SMOKE_SEED, 2, delta_every=0, divergence_hook=hook)
+            run_campaign(SMOKE_SEED, 2, divergence_hook=hook)
         # The per-scenario finally must have dropped every shared system —
         # closing compiled graphs and their spill stores, which unlink
         # their memmap files.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.casestudy import PAPER_BASELINE_PARTITION
 from repro.control.disturbance import DisturbanceTrace
 from repro.exceptions import SchedulingError
 from repro.scheduler.baseline import (
@@ -145,13 +144,6 @@ class TestBaselineAnalysis:
         responses = {r.name: r for r in analysis.analyze_slot([high, low])}
         assert responses["H"].worst_wait == 2
         assert responses["H"].schedulable
-
-    def test_case_study_baseline_partition_matches_paper(self, case_study_profiles):
-        result = dimension_baseline(case_study_profiles)
-        assert result.slot_count == 4
-        normal = tuple(sorted(tuple(sorted(slot)) for slot in result.partitions))
-        expected = tuple(sorted(tuple(sorted(slot)) for slot in PAPER_BASELINE_PARTITION))
-        assert normal == expected
 
     def test_both_strategies_need_four_slots(self, case_study_profiles):
         for strategy in BaselineStrategy:

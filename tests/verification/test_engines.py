@@ -386,8 +386,7 @@ class TestEngineSelection:
 
     def test_auto_compiles_kernel_graph_for_packed_sources(self, small_profile):
         # "auto" defaults packed sources to the compiled kernel: the first
-        # exploration compiles the graph, later runs (and delta warm
-        # starts) replay it.
+        # exploration compiles the graph, later runs replay it.
         config = SlotSystemConfig.from_profiles((small_profile,))
         source = PackedStateSource(PackedSlotSystem(config))
         assert isinstance(resolve_engine("auto", source=source), CompiledKernelEngine)

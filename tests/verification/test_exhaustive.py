@@ -126,29 +126,6 @@ class TestExhaustiveVerifier:
         summary = verify_slot_sharing([small_profile]).summary()
         assert "FEASIBLE" in summary and "A" in summary
 
-    def test_paper_slot2_feasible(self, case_study_profiles):
-        result = verify_slot_sharing(
-            [case_study_profiles["C6"], case_study_profiles["C2"]],
-            instance_budget={"C6": 1, "C2": 1},
-        )
-        assert result.feasible
-
-    def test_paper_slot1_feasible_with_budgets(self, case_study_profiles):
-        names = ["C1", "C5", "C4", "C3"]
-        profiles = [case_study_profiles[n] for n in names]
-        result = verify_slot_sharing(
-            profiles, instance_budget=instance_budgets(profiles), with_counterexample=False
-        )
-        assert result.feasible
-
-    def test_adding_c6_to_slot1_prefix_is_infeasible(self, case_study_profiles):
-        names = ["C1", "C5", "C4", "C6"]
-        profiles = [case_study_profiles[n] for n in names]
-        result = verify_slot_sharing(
-            profiles, instance_budget=instance_budgets(profiles), with_counterexample=False
-        )
-        assert not result.feasible
-
     def test_accelerated_and_unbounded_agree_on_pairs(self, case_study_profiles):
         """The instance-budget acceleration must not change the verdict."""
         for names in (("C1", "C5"), ("C6", "C2"), ("C4", "C3")):
@@ -175,3 +152,19 @@ class TestExhaustiveVerifier:
             arrivals = [("C1", 0), ("C5", offset), ("C4", 2 * offset), ("C3", offset)]
             result = simulator.run(DisturbanceTrace.from_arrivals(arrivals), 80)
             assert result.schedulable
+
+
+class TestCountSemantics:
+    def test_engines_report_their_semantics(self, small_profile, second_small_profile):
+        sequential = verify_slot_sharing(
+            [small_profile, second_small_profile], engine="sequential"
+        )
+        kernel = verify_slot_sharing(
+            [small_profile, second_small_profile], engine="kernel"
+        )
+        auto = verify_slot_sharing([small_profile, second_small_profile])
+        assert sequential.count_semantics == "discovery-order"
+        assert kernel.count_semantics == "level-synchronous"
+        assert auto.count_semantics == "level-synchronous"
+        # Feasible complete runs agree on the count regardless of semantics.
+        assert sequential.explored_states == kernel.explored_states

@@ -1,12 +1,11 @@
-"""Graph-store tests: content addressing, LRU eviction, pins, lineage,
-single-flight claims.
+"""Graph-store tests: content addressing, LRU eviction, pins, single-flight
+claims.
 
-The store must honor four invariants under any interleaving: (1) the byte
+The store must honor three invariants under any interleaving: (1) the byte
 budget of ``REPRO_GRAPH_STORE_BYTES`` is enforced by least-recently-used
 eviction — with loads refreshing recency; (2) entries pinned by in-flight
 queries (and entries under an active compile claim) are never evicted;
-(3) orphaned ``.parent`` lineage sidecars are swept; (4) corrupt entries
-log, drop and report a miss — never an exception.
+(3) corrupt entries log, drop and report a miss — never an exception.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ class TestPublishLoad:
         system = _compiled_system(small_profile)
         fingerprint = config_fingerprint(system.config)
         store.publish(system)
-        store.record_lineage(fingerprint, "f" * 64)
         with open(store.entry_path(fingerprint), "wb") as handle:
             handle.write(b"not an npz")
         fresh = PackedSlotSystem(system.config)
@@ -93,10 +91,8 @@ class TestPublishLoad:
             assert not store.load(fresh)
         assert fresh.compiled_graph is None
         assert any("recompiling" in record.message for record in caplog.records)
-        # The entry and its lineage sidecar are gone: the next compile
-        # republishes a good one.
+        # The entry is gone: the next compile republishes a good one.
         assert not store.has(fingerprint)
-        assert store.parent_of(fingerprint) is None
 
 
 # ------------------------------------------------------------------ eviction
@@ -182,50 +178,11 @@ class TestEviction:
         assert older not in evicted
         assert store.has(older)
 
-    def test_orphan_lineage_sidecars_are_swept(self, store, small_profile):
-        system = _compiled_system(small_profile)
-        fingerprint = config_fingerprint(system.config)
-        store.publish(system)
-        store.record_lineage(fingerprint, "a" * 64)
-        orphan = "b" * 64
-        store.record_lineage(orphan, "c" * 64)
-        store.evict()  # unbounded: only the orphan sweep runs
-        assert store.parent_of(fingerprint) == "a" * 64  # live sidecar kept
-        assert store.parent_of(orphan) is None
-        assert not os.path.exists(store.lineage_path(orphan))
-
-    def test_eviction_drops_the_entry_sidecar_too(
-        self, store, small_profile, second_small_profile, monkeypatch
-    ):
-        oldest, newest = self._three_entries(
-            store, (small_profile, second_small_profile)
-        )[:2]
-        store.record_lineage(oldest, "d" * 64)
-        size = os.stat(store.entry_path(newest)).st_size
-        monkeypatch.setenv(STORE_BYTES_ENV_VAR, str(size))
-        assert store.evict() == [oldest]
-        assert not os.path.exists(store.lineage_path(oldest))
-
     def test_non_numeric_budget_means_unbounded(self, store, monkeypatch, caplog):
         monkeypatch.setenv(STORE_BYTES_ENV_VAR, "lots")
         with caplog.at_level(logging.WARNING, logger="repro.verification.store"):
             assert store.budget_bytes() is None
         assert any("non-numeric" in record.message for record in caplog.records)
-
-
-# ------------------------------------------------------------------- lineage
-class TestLineage:
-    def test_record_and_read_back(self, store):
-        store.record_lineage("child" + "0" * 59, "parent" + "0" * 58)
-        assert store.parent_of("child" + "0" * 59) == "parent" + "0" * 58
-
-    def test_missing_lineage_is_none(self, store):
-        assert store.parent_of("nope") is None
-
-    def test_existing_sidecar_is_left_untouched(self, store):
-        store.record_lineage("x", "first")
-        store.record_lineage("x", "second")
-        assert store.parent_of("x") == "first"
 
 
 # -------------------------------------------------------------------- claims
