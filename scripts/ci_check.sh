@@ -14,7 +14,8 @@
 #                    committed baseline was recorded on a different host).
 #   BENCH_GROUPS     space-separated benchmark groups to gate on
 #                    (default: "verification engines kernel expansion dedupe
-#                    service spec").
+#                    service spec table1 fig3"; table1 and fig3 are the
+#                    groups that run the dwell analysis).
 #   BENCH_JSON       where to write the fresh export (default: a temp file).
 #   BENCH_REPORT     optional path for bench_compare's --json-out summary
 #                    (uploaded as a CI artifact).
@@ -33,7 +34,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 BASELINE="benchmarks/baselines/baseline.json"
 THRESHOLD="${BENCH_THRESHOLD:-0.35}"
 # (Not named GROUPS: that is a readonly bash builtin.)
-GATE_GROUPS=(${BENCH_GROUPS:-verification engines kernel expansion dedupe service spec})
+GATE_GROUPS=(${BENCH_GROUPS:-verification engines kernel expansion dedupe service spec table1 fig3})
 CURRENT="${BENCH_JSON:-$(mktemp /tmp/bench-current.XXXXXX.json)}"
 
 if [[ ! -f "$BASELINE" ]]; then

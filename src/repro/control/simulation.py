@@ -15,9 +15,11 @@ Both modes are linear in the augmented state ``z = [x; u_pending]``, so the
 simulator precomputes one closed-loop matrix per mode and evaluates whole
 runs of same-mode samples with a single batched matrix-power product (the
 powers are cached and grown on demand).  ``simulate_batch`` extends this to
-many initial states sharing one mode schedule — the dwell-analysis and
-figure pipelines evaluate thousands of switching patterns on the same plant
-and are dominated by these products.
+many initial states sharing one mode schedule.  The dwell analysis does not
+simulate pattern by pattern: its settling grid
+(:meth:`repro.switching.dwell.DwellTimeAnalyzer.settling_grid`) applies the
+same cached power stacks directly, with ``simulate_mode_sequence`` as the
+reference semantics it must reproduce.
 """
 
 from __future__ import annotations

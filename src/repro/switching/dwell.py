@@ -4,8 +4,8 @@ For an application disturbed at sample 0 the switching strategy keeps the
 controller in the event-triggered mode ``ME`` for ``Tw`` samples (the wait
 for the TT slot), then in the time-triggered mode ``MT`` for ``Tdw`` samples
 (the dwell), and finally returns to ``ME``.  The analysis in this module
-answers, by exhaustive closed-loop simulation over the (Tw, Tdw) grid, the
-three questions the paper's verification layer needs:
+answers, exhaustively over the (Tw, Tdw) grid, the three questions the
+paper's verification layer needs:
 
 * ``Tdw^-(Tw)``  — the *minimum* dwell time that still meets the settling
   requirement ``J <= J*`` for a given wait time;
@@ -16,6 +16,13 @@ three questions the paper's verification layer needs:
 
 These quantities are exactly the timing abstraction (Fig. 4 / Table 1) that
 feeds the timed-automata verification and the slot arbiter.
+
+The settling samples of all dwells of one wait time come from one closed-form
+settling grid (:meth:`DwellTimeAnalyzer.settling_grid`): products of the
+simulator's cached per-mode power stacks, no per-pattern simulation.  The
+reference semantics stay those of
+:meth:`~repro.control.simulation.ClosedLoopSimulator.simulate_mode_sequence`
+on the expanded pattern (:meth:`DwellTimeAnalyzer.simulate_pattern`).
 """
 
 from __future__ import annotations
@@ -120,29 +127,56 @@ class DwellTimeAnalyzer:
         """Canonical cache key: the horizon always covers the pattern + margin."""
         return (wait, dwell, max(horizon, wait + dwell + 50))
 
+    def settling_grid(self, wait: int, max_dwell: int, horizon: int) -> List[Optional[int]]:
+        """Settling samples of the patterns ``(wait, 0..max_dwell)`` in closed form.
+
+        Every pattern is ``ET^wait TT^dwell ET^rest``, so all dwells share the
+        ET prefix ``E^k z0`` and the TT prefix ``T^j z_wait``, and each dwell's
+        tail is the cached ET power stack applied to its post-dwell state: all
+        tails come from one ``einsum``.  Row ``dwell`` of the gathered
+        out-of-band matrix spans that pattern's normalised horizon
+        ``max(horizon, wait + dwell + 50)``, exactly what
+        :meth:`simulate_pattern` would simulate; its settling sample is the
+        last out-of-band index + 1, or ``None`` when the last sample is out
+        of band.
+        """
+        sim = self.simulator
+        dwells = np.arange(max_dwell + 1)
+        ends = np.maximum(horizon, wait + dwells + 50)
+        tail = int(ends[0]) - wait
+        z0 = np.concatenate([self.disturbed_state, np.zeros(self.plant.input_dimension)])
+        et_powers = sim._powers(sim.ET, max(wait, tail))
+        prefix = et_powers[: wait + 1] @ z0
+        dwell_states = sim._powers(sim.TT, max_dwell)[: max_dwell + 1] @ prefix[-1]
+        tails = np.einsum("lij,dj->dli", et_powers[: tail + 1], dwell_states)
+        # Every distinct closed-loop state once: z_0..z_{wait-1}, the dwell
+        # states z_wait..z_{wait+max_dwell}, then each dwell's tail block.
+        states = np.concatenate([prefix[:wait], dwell_states, tails.reshape(-1, z0.size)])
+        outputs = states[:, : self.plant.state_dimension] @ self.plant.c.T
+        late = ~(np.linalg.norm(outputs, axis=1) <= self.config.settling_threshold)
+        # Row d reads z_k at index k before its tail starts (k < wait + d),
+        # then at (wait + max_dwell + 1) + d * (tail + 1) + (k - wait - d).
+        k = np.arange(ends[-1] + 1)
+        row = dwells[:, None]
+        index = np.where(k < wait + row, k, max_dwell + 1 + row * tail + k)
+        grid = late[index] & (k <= ends[:, None])
+        last = np.where(grid.any(axis=1), grid.shape[1] - np.argmax(grid[:, ::-1], axis=1), 0)
+        return [None if grid[d, ends[d]] else int(last[d]) for d in dwells]
+
     def _settle_patterns(self, patterns: Sequence[Tuple[int, int, int]]) -> None:
         """Fill the settling cache for a batch of ``(wait, dwell, horizon)`` triples.
 
-        All uncached patterns are simulated in one :meth:`simulate_batch`
-        call on the shared simulator.  The patterns' schedules differ, so
-        the batch runs its per-instance path — the speed-up comes from the
-        per-mode closed-loop matrix powers being built once and reused
-        across the whole grid.
+        Uncached patterns are grouped by ``(wait, horizon)``; one
+        :meth:`settling_grid` per group settles every dwell up to the group's
+        largest and caches each result under its normalised key.
         """
-        keys = [self._normalize_key(*pattern) for pattern in patterns]
-        missing = sorted({key for key in keys if key not in self._settling_cache})
-        if not missing:
-            return
-        sequences = [
-            SwitchingPattern(wait, dwell).to_mode_sequence(horizon)
-            for wait, dwell, horizon in missing
-        ]
-        trajectories = self.simulator.simulate_batch(
-            [self.disturbed_state] * len(missing), sequences
-        )
-        for key, trajectory in zip(missing, trajectories):
-            result = trajectory.settling(threshold=self.config.settling_threshold)
-            self._settling_cache[key] = result.samples if result.settled else None
+        groups: Dict[Tuple[int, int], int] = {}
+        for wait, dwell, horizon in patterns:
+            if self._normalize_key(wait, dwell, horizon) not in self._settling_cache:
+                groups[wait, horizon] = max(dwell, groups.get((wait, horizon), 0))
+        for (wait, horizon), max_dwell in groups.items():
+            for dwell, samples in enumerate(self.settling_grid(wait, max_dwell, horizon)):
+                self._settling_cache[self._normalize_key(wait, dwell, horizon)] = samples
 
     def settling_seconds(self, wait: int, dwell: int, horizon: Optional[int] = None) -> Optional[float]:
         """Settling time in seconds for a ``(wait, dwell)`` pattern."""
