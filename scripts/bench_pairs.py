@@ -7,11 +7,12 @@ Reproduces a performance claim as a committed ``BENCH_*.json``::
         --workload verify --workload serve --pairs 10 --seconds 15 \
         --out BENCH_<n>.json
 
-The base ref is checked out into a temporary ``git worktree`` (removed
-again on exit).  For every workload, each pair runs
-``flowbench/run.py --trace 0`` once in that worktree and once in the
-working tree, alternating which side goes first, so slow drift of the
-host hits both sides alike.  The output file holds every run's result
+The base ref is exported with ``git archive`` into a temporary directory
+(removed again on exit; set ``TMPDIR`` to choose where it goes), so the
+repository's git metadata is never touched.  For every workload, each
+pair runs ``flowbench/run.py --trace 0`` once in that copy and once in
+the working tree, alternating which side goes first, so slow drift of
+the host hits both sides alike.  The output file holds every run's result
 line, the per-metric medians and quartiles of each side and, per metric,
 how many pairs the working tree won.  Exits non-zero when any run fails to produce a
 result, reports ``correct: false`` or counts a failed operation.
@@ -20,6 +21,7 @@ result, reports ``correct: false`` or counts a failed operation.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -27,6 +29,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
@@ -124,11 +127,15 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
-    worktree = os.path.join(scratch, "base")
-    git("worktree", "add", "--detach", worktree, base_commit)
+    base_tree = os.path.join(scratch, "base")
     all_ok = True
     try:
-        trees = {"base": worktree, "head": ROOT}
+        archive = subprocess.run(
+            ["git", "archive", base_commit], cwd=ROOT, check=True, capture_output=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_tree, filter="data")
+        trees = {"base": base_tree, "head": ROOT}
         for workload in args.workload:
             runs = []
             for pair in range(args.pairs):
@@ -146,8 +153,6 @@ def main(argv=None) -> int:
                     runs.append({"pair": pair, "side": side, "result": result})
             record["workloads"][workload] = {"runs": runs, **summarise(runs)}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=ROOT)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
         shutil.rmtree(scratch, ignore_errors=True)
     record["ok"] = all_ok
     with open(args.out, "w") as handle:

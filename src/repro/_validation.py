@@ -2,18 +2,44 @@
 
 These helpers normalise user input (lists, tuples, numpy arrays) into
 well-shaped ``numpy`` arrays and raise :class:`repro.exceptions.DimensionError`
-with informative messages when the input cannot be used.
+with informative messages when the input cannot be used; :func:`env_int`
+reads the integer ``REPRO_*`` environment knobs.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import math
+import os
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .exceptions import DimensionError
 
 ArrayLike = Union[float, int, Sequence, np.ndarray]
+
+
+def env_int(name: str, report: Optional[Callable[[str], None]] = None) -> Optional[int]:
+    """Integer value of environment variable ``name``; ``None`` when it is
+    unset, empty or malformed.
+
+    ``"2e6"``-style floats are accepted.  Non-numeric and non-finite values
+    (``inf``, ``nan``, ``1e400``) are malformed: ``report``, when given,
+    receives an ``ignoring non-numeric ...`` message and the value reads as
+    unset, so a typo never crashes the caller.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return int(value)
+    if report is not None:
+        report(f"ignoring non-numeric {name}={raw!r}")
+    return None
 
 
 def as_matrix(value: ArrayLike, name: str = "matrix") -> np.ndarray:

@@ -107,6 +107,7 @@ from typing import (
     runtime_checkable,
 )
 
+from .._validation import env_int
 from ..exceptions import VerificationError
 
 #: States are hashable opaque values: packed ints for slot systems,
@@ -146,20 +147,14 @@ AUTO_SHARD_ENV_VAR = "REPRO_AUTO_SHARD_THRESHOLD"
 
 
 def _auto_shard_threshold() -> int:
-    raw = os.environ.get(AUTO_SHARD_ENV_VAR, "")
-    if raw:
-        try:
-            # Accept "2e6"-style values too; never crash import on a typo.
-            return int(float(raw))
-        except ValueError:
-            import warnings
+    import warnings
 
-            warnings.warn(
-                f"ignoring non-numeric {AUTO_SHARD_ENV_VAR}={raw!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return 10**13
+    # Accept "2e6"-style values too; never crash import on a typo.
+    threshold = env_int(
+        AUTO_SHARD_ENV_VAR,
+        lambda message: warnings.warn(message, RuntimeWarning, stacklevel=4),
+    )
+    return 10**13 if threshold is None else threshold
 
 
 AUTO_SHARD_THRESHOLD = _auto_shard_threshold()

@@ -56,6 +56,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from .._validation import env_int
 from ..exceptions import VerificationError
 from ..scheduler.packed import unpack_words
 from . import spill as _spill
@@ -739,15 +740,8 @@ def checkpoint_policy_from_env(sink) -> Optional["CheckpointPolicy"]:
     """
 
     def _read(name: str) -> Optional[int]:
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            return None
-        try:
-            value = int(float(raw))
-        except ValueError:
-            logger.warning("ignoring non-numeric %s=%r", name, raw)
-            return None
-        return value if value > 0 else None
+        value = env_int(name, logger.warning)
+        return value if value is not None and value > 0 else None
 
     every_levels = _read(CHECKPOINT_LEVELS_ENV_VAR)
     every_bytes = _read(CHECKPOINT_BYTES_ENV_VAR)

@@ -14,17 +14,13 @@ properties:
   evaluator checks the error successor as a virtual extra state — which
   makes ``always not missed`` *exactly* the feasibility query, witness
   included.
-* **Bounded response** (``always (P implies eventually<=k Q)``) runs ``k``
-  rounds of backward label propagation over the CSR rows
-  (``np.logical_or.reduceat`` per round): ``Avoid_j``, the states that can
-  stay ``not Q`` for ``j`` more steps, shrinks monotonically and the loop
-  exits early once it empties.
-* **Liveness** (``eventually P``) is cycle detection on the ``not P``
-  subgraph: a numpy greatest-fixpoint peel keeps exactly the states with an
-  infinite ``not P`` path (the union of the subgraph's non-trivial strongly
-  connected components and their in-trees — what an SCC pass computes,
-  without leaving numpy), and a violation is materialized as a **lasso**:
-  stem + repeating cycle, found by walking the surviving core.
+* **Bounded response** (``always (P implies eventually<=k Q)``) and
+  **liveness** (``eventually P``) share one Kahn-style peel over a
+  predecessor CSR that touches each edge once: it gives every state ``h``,
+  its longest goal-avoiding path (``∞`` on and into avoiding cycles).  A
+  response fails iff some ``P`` state has ``h >= k``; liveness fails iff a
+  ``not P`` state reachable through ``not P`` states has ``h = ∞``, shown
+  as a **lasso** (stem + repeating cycle) found by walking that core.
 
 Witness paths are reconstructed through the graph's existing BFS parent
 arrays (``parent_ids`` / ``parent_labels``) and replayed on the tuple
@@ -43,14 +39,15 @@ two on randomized corpus scenarios.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse
 
+from .._validation import env_int
 from ..exceptions import SpecError
 from ..scheduler.slot_system import HOLDING, WAITING
 from .result import CounterexampleStep, replay_counterexample
@@ -93,13 +90,8 @@ _spec_cache_misses = 0
 
 
 def _spec_cache_capacity() -> int:
-    raw = os.environ.get(SPEC_CACHE_ENV_VAR, "").strip()
-    if not raw:
-        return _DEFAULT_SPEC_CACHE_ENTRIES
-    try:
-        return int(float(raw))
-    except ValueError:
-        return _DEFAULT_SPEC_CACHE_ENTRIES
+    capacity = env_int(SPEC_CACHE_ENV_VAR)
+    return _DEFAULT_SPEC_CACHE_ENTRIES if capacity is None else capacity
 
 
 def _cache_key(graph, spec: Spec) -> Optional[Tuple[str, str]]:
@@ -222,7 +214,8 @@ class _FieldCache:
     """Memoized vectorized atom evaluation over one packed word matrix.
 
     One instance per (graph, spec-batch): atoms repeat across the specs of a
-    bundle, so their boolean arrays are computed once.
+    bundle, so their boolean arrays are computed once — and so is the
+    graph's predecessor CSR, built on first use by a temporal spec.
     """
 
     def __init__(self, system, words: np.ndarray) -> None:
@@ -231,6 +224,14 @@ class _FieldCache:
         self.word_count = words.shape[1] if words.ndim == 2 else 1
         self._atoms: Dict[Atom, np.ndarray] = {}
         self._fields: Dict[Tuple[int, int], np.ndarray] = {}
+        self._predecessors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def heights(self, graph, avoiding: np.ndarray, cap: int) -> np.ndarray:
+        """:func:`_peel_heights` on ``graph``, the graph whose words this
+        cache holds; its predecessor CSR is built once per cache."""
+        if self._predecessors is None:
+            self._predecessors = _reverse_csr(graph.indptr, graph.successor_ids)
+        return _peel_heights(graph.indptr, graph.successor_ids, self._predecessors, avoiding, cap)
 
     def _extract(self, shift: int, width: int) -> np.ndarray:
         """Bit field of every state row (handles a 64-bit word straddle)."""
@@ -395,25 +396,54 @@ def _predicate(cache: _FieldCache, node) -> np.ndarray:
 
 
 # --------------------------------------------------------------- CSR helpers
-def _exists_successor(
-    indptr: np.ndarray, successor_ids: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Per-state "has a successor inside ``targets``" (one reduceat pass).
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat positions of every entry of CSR ``rows`` (in row order) and
+    each row's entry count."""
+    counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(indptr[rows].astype(np.int64), counts) + offsets, counts
 
-    ``reduceat`` over only the non-empty rows: empty rows contribute no
-    elements, so consecutive non-empty starts still delimit exactly one
-    row's segment each.
+
+def _reverse_csr(indptr: np.ndarray, successor_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Predecessor CSR ``(indptr, source ids)``: one entry per edge, so a
+    state reached twice from one source lists that source twice (scipy's
+    CSR-to-CSC transpose is one counting pass and keeps duplicates)."""
+    count = indptr.shape[0] - 1
+    edges = np.ones(successor_ids.size, dtype=np.int8)
+    forward = scipy.sparse.csr_matrix((edges, successor_ids, indptr), shape=(count, count))
+    backward = forward.tocsc()
+    return backward.indptr.astype(np.int64), backward.indices.astype(np.int64)
+
+
+def _peel_heights(
+    indptr: np.ndarray, successor_ids: np.ndarray, predecessors, avoiding: np.ndarray, cap: int
+) -> np.ndarray:
+    """Longest ``avoiding``-only path (in edges) from every state, capped.
+
+    ``-1`` on states outside ``avoiding``; ``cap`` on states whose longest
+    path is ``>= cap`` — every state on or leading to an avoiding cycle
+    included, so ``cap = avoiding.size`` marks exactly the states with an
+    infinite avoiding path.  Kahn-style peel: count each avoiding state's
+    avoiding successors (with multiplicity), drop the states whose count is
+    0, decrement only the dropped states' predecessors; the round a state
+    drops in is its height.  Each edge is touched once.
     """
-    row_count = indptr.shape[0] - 1
-    out = np.zeros(row_count, dtype=bool)
-    if successor_ids.size == 0 or row_count == 0:
-        return out
-    hits = targets[successor_ids]
-    counts = np.diff(indptr)
-    nonempty = np.flatnonzero(counts > 0)
-    if nonempty.size:
-        out[nonempty] = np.logical_or.reduceat(hits, indptr[nonempty])
-    return out
+    heights = np.where(avoiding, cap, -1).astype(np.int64)
+    reached = np.concatenate(([0], np.cumsum(avoiding[successor_ids], dtype=np.int64)))
+    pending = reached[indptr[1:]] - reached[indptr[:-1]]
+    frontier = np.flatnonzero(avoiding & (pending == 0))
+    reverse_indptr, sources = predecessors
+    for depth in range(cap):
+        if not frontier.size:
+            break
+        heights[frontier] = depth
+        parents = sources[_row_positions(reverse_indptr, frontier)[0]]
+        parents, drops = np.unique(parents[avoiding[parents]], return_counts=True)
+        pending[parents] -= drops
+        frontier = parents[pending[parents] == 0]
+    return heights
 
 
 def _restricted_reach(
@@ -423,8 +453,6 @@ def _restricted_reach(
     level; returns ``(reachable, predecessor, predecessor_mask)`` with the
     predecessors recording an allowed-only path back to the root."""
     indptr = graph.indptr
-    successor_ids = graph.successor_ids
-    labels = graph.labels
     count = graph.state_count
     reach = np.zeros(count, dtype=bool)
     predecessor = np.full(count, -1, dtype=np.int64)
@@ -434,42 +462,17 @@ def _restricted_reach(
     reach[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        counts = (indptr[frontier + 1] - indptr[frontier]).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            break
-        starts = indptr[frontier]
-        base = np.repeat(starts, counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        rows = base + offsets
-        successors = successor_ids[rows].astype(np.int64)
+        rows, counts = _row_positions(indptr, frontier)
+        successors = graph.successor_ids[rows].astype(np.int64)
         origins = np.repeat(frontier, counts)
         keep = allowed[successors] & ~reach[successors]
         successors, origins, rows = successors[keep], origins[keep], rows[keep]
         fresh, first_rows = np.unique(successors, return_index=True)
         reach[fresh] = True
         predecessor[fresh] = origins[first_rows]
-        predecessor_mask[fresh] = labels[rows[first_rows]]
+        predecessor_mask[fresh] = graph.labels[rows[first_rows]]
         frontier = fresh
     return reach, predecessor, predecessor_mask
-
-
-def _live_core(
-    indptr: np.ndarray, successor_ids: np.ndarray, members: np.ndarray
-) -> np.ndarray:
-    """Greatest fixpoint of "has a successor inside the set": the states of
-    ``members`` with an *infinite* path staying inside ``members`` — the
-    non-trivial SCCs of the induced subgraph plus everything that can stay
-    inside until reaching one (each peel round drops the dead ends of the
-    previous one, so the loop runs at most longest-acyclic-path rounds)."""
-    core = members
-    while True:
-        kept = core & _exists_successor(indptr, successor_ids, core)
-        if kept.sum() == core.sum():
-            return kept
-        core = kept
 
 
 # ---------------------------------------------------------------- witnesses
@@ -615,40 +618,26 @@ def _check_reachable(graph, cache, spec: Spec, form: Reachable) -> SpecVerdict:
 def _check_response(graph, cache, spec: Spec, form: Response) -> SpecVerdict:
     if not graph.complete:
         return _base(spec, graph, holds=None, reason=_undecided_reason(graph, True))
-    indptr = graph.indptr
-    successor_ids = graph.successor_ids
     trigger = _predicate(cache, form.trigger)
-    goal = _predicate(cache, form.goal)
-    avoiding = ~goal
-    layers = [avoiding]
-    for _ in range(form.bound):
-        previous = layers[-1]
-        if not previous.any():
-            break
-        layers.append(
-            layers[0] & _exists_successor(indptr, successor_ids, previous)
-        )
-    if len(layers) <= form.bound:
-        return _base(spec, graph, holds=True)
-    violations = np.flatnonzero(trigger & layers[form.bound])
+    heights = cache.heights(graph, ~_predicate(cache, form.goal), form.bound)
+    violations = np.flatnonzero(trigger & (heights >= form.bound))
     if not violations.size:
         return _base(spec, graph, holds=True)
     # Witness: shallowest violating trigger, then a greedy goal-avoiding
-    # suffix descending through the Avoid layers.
+    # suffix descending one height per step.
     state_id = int(violations[0])
     masks = _mask_chain(graph, state_id)
     cursor = state_id
-    labels = graph.labels
+    indptr, successor_ids, labels = graph.indptr, graph.successor_ids, graph.labels
     for depth in range(form.bound, 0, -1):
-        row_range = range(int(indptr[cursor]), int(indptr[cursor + 1]))
-        for row in row_range:
+        for row in range(int(indptr[cursor]), int(indptr[cursor + 1])):
             successor = int(successor_ids[row])
-            if layers[depth - 1][successor]:
+            if heights[successor] >= depth - 1:
                 masks.append(int(labels[row]))
                 cursor = successor
                 break
-        else:  # pragma: no cover - the layer construction guarantees a step
-            raise SpecError("internal: avoid layer without a continuing step")
+        else:  # pragma: no cover - a height >= depth guarantees a step
+            raise SpecError("internal: avoiding state without a continuing step")
     return _base(spec, graph, holds=False, witness=_replay(graph.system, masks))
 
 
@@ -659,10 +648,10 @@ def _check_inevitable(graph, cache, spec: Spec, form: Inevitable) -> SpecVerdict
     avoiding = ~predicate
     if avoiding.size == 0 or not avoiding[0]:
         return _base(spec, graph, holds=True)
-    indptr = graph.indptr
-    successor_ids = graph.successor_ids
     reach, predecessor, predecessor_mask = _restricted_reach(graph, avoiding)
-    core = _live_core(indptr, successor_ids, reach)
+    # The reach set is closed under avoiding successors, so peeling it
+    # alone leaves exactly the states with an infinite avoiding path.
+    core = cache.heights(graph, reach, reach.size) == reach.size
     survivors = np.flatnonzero(core)
     if not survivors.size:
         return _base(spec, graph, holds=True)
@@ -676,7 +665,7 @@ def _check_inevitable(graph, cache, spec: Spec, form: Inevitable) -> SpecVerdict
         stem.append(int(predecessor_mask[cursor]))
         cursor = int(predecessor[cursor])
     stem.reverse()
-    labels = graph.labels
+    indptr, successor_ids, labels = graph.indptr, graph.successor_ids, graph.labels
     seen: Dict[int, int] = {entry: 0}
     walk_masks: List[int] = []
     cursor = entry
@@ -687,7 +676,7 @@ def _check_inevitable(graph, cache, spec: Spec, form: Inevitable) -> SpecVerdict
                 walk_masks.append(int(labels[row]))
                 cursor = successor
                 break
-        else:  # pragma: no cover - the fixpoint guarantees a core successor
+        else:  # pragma: no cover - the peel guarantees a core successor
             raise SpecError("internal: live core state without a core successor")
         if cursor in seen:
             loop_entry = seen[cursor]

@@ -43,6 +43,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .._validation import env_int
+
 __all__ = [
     "SPILL_DIR_ENV_VAR",
     "STATE_BUDGET_ENV_VAR",
@@ -70,19 +72,11 @@ def state_budget_bytes() -> Optional[int]:
     Accepts plain integers and ``"2e9"``-style floats; a malformed value
     warns and disables the budget instead of crashing the verification.
     """
-    raw = os.environ.get(STATE_BUDGET_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(float(raw))
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-numeric {STATE_BUDGET_ENV_VAR}={raw!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return value if value >= 0 else None
+    value = env_int(
+        STATE_BUDGET_ENV_VAR,
+        lambda message: warnings.warn(message, RuntimeWarning, stacklevel=4),
+    )
+    return value if value is not None and value >= 0 else None
 
 
 def resident_budget_bytes() -> int:

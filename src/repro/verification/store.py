@@ -53,6 +53,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+from .._validation import env_int
 from ..exceptions import VerificationError
 
 logger = logging.getLogger(__name__)
@@ -76,19 +77,11 @@ DEFAULT_CLAIM_TIMEOUT = 120.0
 
 def _store_budget_bytes() -> Optional[int]:
     """The ``REPRO_GRAPH_STORE_BYTES`` budget, or ``None`` when unbounded."""
-    raw = os.environ.get(STORE_BYTES_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(float(raw))
-    except ValueError:
-        logger.warning(
-            "ignoring non-numeric %s=%r (store stays unbounded)",
-            STORE_BYTES_ENV_VAR,
-            raw,
-        )
-        return None
-    return value if value > 0 else None
+    value = env_int(
+        STORE_BYTES_ENV_VAR,
+        lambda message: logger.warning("%s (store stays unbounded)", message),
+    )
+    return value if value is not None and value > 0 else None
 
 
 class GraphStoreClaim:

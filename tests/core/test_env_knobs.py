@@ -1,9 +1,15 @@
-"""README's "Environment knobs" table lists exactly the knobs the code reads."""
+"""The ``REPRO_*`` environment knobs: README's "Environment knobs" table
+lists exactly the knobs the code reads, and a malformed integer knob falls
+back instead of crashing its reader."""
 
 from __future__ import annotations
 
 import pathlib
 import re
+
+import pytest
+
+from repro.verification import engine, kernel, spec_eval, spill, store
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 KNOB = re.compile(r"REPRO_[A-Z_]+")
@@ -33,3 +39,40 @@ def test_readme_knob_table_matches_the_source():
     table = _readme_table_knobs()
     assert len(table) == len(set(table)), "duplicate rows in the knob table"
     assert set(table) == _source_knobs()
+
+
+
+def _checkpoint_policy():
+    return kernel.checkpoint_policy_from_env(sink=None)
+
+
+#: Every integer knob: (name, reader, value read when the knob is malformed).
+INTEGER_KNOBS = [
+    (spec_eval.SPEC_CACHE_ENV_VAR, spec_eval._spec_cache_capacity, 256),
+    (spill.STATE_BUDGET_ENV_VAR, spill.state_budget_bytes, None),
+    (store.STORE_BYTES_ENV_VAR, store._store_budget_bytes, None),
+    (kernel.CHECKPOINT_LEVELS_ENV_VAR, _checkpoint_policy, None),
+    (kernel.CHECKPOINT_BYTES_ENV_VAR, _checkpoint_policy, None),
+    (engine.AUTO_SHARD_ENV_VAR, engine._auto_shard_threshold, 10**13),
+]
+
+
+@pytest.mark.filterwarnings("ignore:ignoring non-numeric:RuntimeWarning")
+@pytest.mark.parametrize("raw", ["inf", "-inf", "1e400", "nan", "lots"])
+@pytest.mark.parametrize(
+    "name, read, fallback", INTEGER_KNOBS, ids=[knob[0] for knob in INTEGER_KNOBS]
+)
+def test_malformed_integer_knob_falls_back(monkeypatch, name, read, fallback, raw):
+    """Non-numeric and non-finite values read as unset instead of raising."""
+    monkeypatch.setenv(name, raw)
+    assert read() == fallback
+
+def test_env_int_accepts_float_notation(monkeypatch):
+    from repro._validation import env_int
+
+    monkeypatch.setenv("REPRO_TEST_KNOB", " 2e6 ")
+    assert env_int("REPRO_TEST_KNOB") == 2_000_000
+    monkeypatch.setenv("REPRO_TEST_KNOB", "inf")
+    messages = []
+    assert env_int("REPRO_TEST_KNOB", messages.append) is None
+    assert messages == ["ignoring non-numeric REPRO_TEST_KNOB='inf'"]

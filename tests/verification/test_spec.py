@@ -236,6 +236,27 @@ class TestWitnesses:
         for state in states[trigger_at:]:
             assert state.phases[index][0] != "T"
 
+    @pytest.mark.parametrize("bound", [2, 5])
+    def test_multi_step_response_witness_replays_to_a_violation(
+        self, bound, small_profile, second_small_profile
+    ):
+        """A bound >= 2 witness descends several steps: the trigger sits
+        ``bound`` steps before the end and no state from it on is idle."""
+        graph, config, _result = _compiled_graph(
+            [small_profile, second_small_profile]
+        )
+        (verdict,) = evaluate_specs(
+            graph,
+            [parse_spec(f"always (holding(A) implies eventually <= {bound} idle)")],
+        )
+        assert verdict.holds is False
+        states = self._replay_states(config, verdict.witness)
+        trigger_at = len(states) - 1 - bound
+        assert trigger_at >= 0
+        assert states[trigger_at].phases[config.index_of("A")][0] == "T"
+        for state in states[trigger_at:]:
+            assert not state.slot_free()
+
     def test_lasso_witness_closes_its_loop(
         self, small_profile, second_small_profile
     ):
