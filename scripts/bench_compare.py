@@ -34,13 +34,25 @@ from typing import Dict, Tuple
 
 
 def load_benchmarks(path: str) -> Dict[Tuple[str, str], float]:
-    """Map ``(group, name) -> mean seconds`` from a pytest-benchmark export."""
+    """Map ``(group, name) -> mean seconds`` from a pytest-benchmark export.
+
+    Raises ``ValueError`` for an entry whose ``mean`` lies outside its own
+    ``[min, max]``: such a summary was not computed from its rounds, and a
+    mean inflated that way would loosen the gate below its threshold.
+    """
     with open(path) as handle:
         data = json.load(handle)
     means: Dict[Tuple[str, str], float] = {}
     for bench in data.get("benchmarks", []):
         key = (bench.get("group") or "", bench["name"])
-        means[key] = float(bench["stats"]["mean"])
+        stats = bench["stats"]
+        mean = float(stats["mean"])
+        if not float(stats["min"]) <= mean <= float(stats["max"]):
+            raise ValueError(
+                f"{path}: {key[0]}::{key[1]} has mean {mean!r} outside its "
+                f"[min, max] = [{stats['min']!r}, {stats['max']!r}]"
+            )
+        means[key] = mean
     return means
 
 
@@ -87,7 +99,7 @@ def main(argv=None) -> int:
     try:
         baseline = load_benchmarks(args.baseline)
         current = load_benchmarks(args.current)
-    except (OSError, json.JSONDecodeError, KeyError) as error:
+    except (OSError, ValueError, KeyError) as error:
         print(f"error: cannot load benchmark export: {error}", file=sys.stderr)
         return 2
     groups = set(args.group) if args.group else None

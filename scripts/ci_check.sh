@@ -14,8 +14,9 @@
 #                    committed baseline was recorded on a different host).
 #   BENCH_GROUPS     space-separated benchmark groups to gate on
 #                    (default: "verification engines kernel expansion dedupe
-#                    service spec table1 fig3"; table1 and fig3 are the
-#                    groups that run the dwell analysis).
+#                    service spec table1 fig3 ta"; table1 and fig3 are the
+#                    groups that run the dwell analysis, ta the timed-automata
+#                    model checker).
 #   BENCH_JSON       where to write the fresh export (default: a temp file).
 #   BENCH_REPORT     optional path for bench_compare's --json-out summary
 #                    (uploaded as a CI artifact).
@@ -34,7 +35,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 BASELINE="benchmarks/baselines/baseline.json"
 THRESHOLD="${BENCH_THRESHOLD:-0.35}"
 # (Not named GROUPS: that is a readonly bash builtin.)
-GATE_GROUPS=(${BENCH_GROUPS:-verification engines kernel expansion dedupe service spec table1 fig3})
+GATE_GROUPS=(${BENCH_GROUPS:-verification engines kernel expansion dedupe service spec table1 fig3 ta})
 CURRENT="${BENCH_JSON:-$(mktemp /tmp/bench-current.XXXXXX.json)}"
 
 if [[ ! -f "$BASELINE" ]]; then

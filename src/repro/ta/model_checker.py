@@ -69,6 +69,13 @@ class ReachabilityResult:
 class ModelChecker:
     """Breadth-first explicit-state model checker for TA networks.
 
+    The engine expands states with :meth:`Network.successors`, which reads
+    the network's per-location tables (built once, in the network's
+    constructor) and returns plain-tuple :class:`NetworkState` successors,
+    so the visited set hashes and compares tuples.  The error query reads
+    the ``error`` flag of each automaton's current location from the same
+    tables.
+
     Args:
         network: the network to check.
         max_states: exploration cap; exceeding it marks the result as
@@ -144,15 +151,12 @@ class ModelChecker:
 
     def error_reachable(self, with_trace: bool = True) -> ReachabilityResult:
         """Can any automaton reach a location flagged as an error location?"""
-        error_sets = []
-        for automaton in self.network.automata:
-            error_sets.append(frozenset(automaton.error_locations()))
 
         def predicate(network: Network, state: NetworkState) -> bool:
-            return any(
-                state.locations[index] in error_sets[index]
-                for index in range(len(network.automata))
-            )
+            for entry in network.location_entries(state):
+                if entry.location.error:
+                    return True
+            return False
 
         return self.reachable(predicate, with_trace=with_trace)
 

@@ -431,8 +431,20 @@ def _peel_heights(
     drops in is its height.  Each edge is touched once.
     """
     heights = np.where(avoiding, cap, -1).astype(np.int64)
-    reached = np.concatenate(([0], np.cumsum(avoiding[successor_ids], dtype=np.int64)))
-    pending = reached[indptr[1:]] - reached[indptr[:-1]]
+    if 4 * np.count_nonzero(avoiding) < avoiding.size:
+        # A small avoiding set (liveness peels one reach set): count over
+        # its rows' edges only.  Past a quarter of the states one pass over
+        # all edges is cheaper than gathering row positions.
+        rows = np.flatnonzero(avoiding)
+        positions, counts = _row_positions(indptr, rows)
+        hits = avoiding[successor_ids[positions]]
+        reached = np.concatenate(([0], np.cumsum(hits, dtype=np.int64)))
+        ends = np.cumsum(counts)
+        pending = np.zeros(avoiding.size, dtype=np.int64)
+        pending[rows] = reached[ends] - reached[ends - counts]
+    else:
+        reached = np.concatenate(([0], np.cumsum(avoiding[successor_ids], dtype=np.int64)))
+        pending = reached[indptr[1:]] - reached[indptr[:-1]]
     frontier = np.flatnonzero(avoiding & (pending == 0))
     reverse_indptr, sources = predecessors
     for depth in range(cap):

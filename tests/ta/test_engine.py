@@ -141,6 +141,35 @@ class TestSemantics:
         assert state.locations == ("S1", "R1")
         assert state.variables[network.variable_index("x")] == 11
 
+    def test_receiver_update_sees_post_emit_locations(self):
+        seen = {}
+
+        def emit_update(view):
+            seen["emitter"] = (view.own_location, view.location_of("receiver"))
+
+        def receive_update(view):
+            seen["receiver"] = (view.own_location, view.location_of("sender"))
+
+        sender = TimedAutomaton(
+            "sender",
+            [Location("S0"), Location("S1")],
+            [Edge("S0", "S1", sync="go!", update=emit_update)],
+            "S0",
+        )
+        receiver = TimedAutomaton(
+            "receiver",
+            [Location("R0"), Location("R1")],
+            [Edge("R0", "R1", sync="go?", update=receive_update)],
+            "R0",
+        )
+        network = Network([sender, receiver], clocks={}, variables={})
+        (state, label), = network.action_successors(network.initial_state())
+        assert label == "sender!go -> receiver"
+        assert state.locations == ("S1", "R1")
+        # The emitter fires first, from both sources; the receiver then sees
+        # the emitter already in its target and itself still in its source.
+        assert seen == {"emitter": ("S0", "R0"), "receiver": ("R0", "S1")}
+
     def test_no_self_synchronisation(self):
         both = TimedAutomaton(
             "both",
