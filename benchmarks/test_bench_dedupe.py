@@ -7,10 +7,12 @@ wall-clock on slot S1).  :meth:`PackedStateTable.intern_dedup` fuses both
 into one pass over the open-addressing table; these benchmarks pin its
 throughput on the two layouts that matter:
 
-* single-word states (the ≤64-bit instances, e.g. the unbounded stress
-  product) — radix grouping on the raw 64-bit word,
-* two-word states (slot S1's 70-bit packed states) — the fused
-  dedupe-inside-the-probe-loop path that replaced the void-view sort.
+* single-word states (the ≤64-bit instances: every case-study slot the
+  dimensioning flow verifies, e.g. slot S1 at 62 bits with budgets) —
+  radix grouping on the raw 64-bit word,
+* two-word states (65- to 128-bit instances, e.g. {C2, C3, C4, C6} with
+  budgets at 65 bits) — the fused dedupe-inside-the-probe-loop path that
+  replaced the void-view sort.
 
 Each benchmark replays a realistic BFS-level stream (duplicate-laden
 batches, ~1/3 new keys per batch, table growing across batches) and

@@ -5,7 +5,7 @@ Two instances are timed:
 * the unbounded-budget slot {C1, C5, C4} (27,716 states) across the
   sequential, sharded (2 and 4 workers) and vectorized engines, and
 * the paper's hardest instance, slot S1 = {C1, C5, C4, C3} with the Sec. 5
-  instance budgets (145,373 states, 70-bit packed states), across the
+  instance budgets (145,373 states, 62-bit packed states), across the
   sequential and vectorized engines with the sharded engine cross-checked
   for state-count identity.
 

@@ -31,7 +31,24 @@ with each application block laid out as::
 
 ``counter 1`` holds the wait (``W``/``T``) or the recovery clock (``F``);
 ``counter 2`` holds the dwell (``T`` only); the instances field is only
-present when the application has an instance budget.  The buffer *order* is
+present when the application has an instance budget.
+
+Each field is as narrow as its largest value allows, so that the case-study
+slots fit one ``uint64`` word and run the single-word paths of the
+expansion and dedupe kernels:
+
+* counter 1 is the narrowest width whose mask is at least
+  ``max(2 * (max_wait + 1) - 1, r - 1)``: the wait reaches ``max_wait + 1``
+  at a deadline miss and saturates at the mask after it (see
+  ``_block_info``), the recovery clock of ``ET_Safe`` stays below ``r``;
+* counter 2 is the narrowest width whose mask is at least the worst max
+  dwell: the advanced dwell ``c2 + 1`` never exceeds ``max_dwell`` of the
+  grant wait, because the release fires at ``c2 >= max_dwell``;
+* the instances field holds the budget.
+
+Packed values compare like the tuples of their fields as long as every
+value fits its field, which every interned state does; so state ids, CSR
+arrays and witnesses do not depend on the widths.  The buffer *order* is
 not stored: the sorted-insertion policy of the arbiter keeps the buffer
 ordered by ascending slack, ties broken by earlier arrival (larger wait) and
 then by application index, so the order is a pure function of the member set
@@ -123,10 +140,11 @@ class PackedSlotSystem:
         self._inst_mask: List[int] = []
         shift = 0
         for i, profile in enumerate(config.profiles):
-            # Waits may reach max_wait + 1 (a deadline miss), recovery clocks
-            # reach r - 1; one spare bit guards against silent wrap-around.
-            c1_bits = max(profile.max_wait + 1, profile.min_inter_arrival - 1, 1).bit_length() + 1
-            c2_bits = max(profile.worst_max_dwell, 1).bit_length() + 1
+            # Narrowest widths that hold every value (see the module docstring).
+            c1_bits = max(
+                2 * (profile.max_wait + 1) - 1, profile.min_inter_arrival - 1
+            ).bit_length()
+            c2_bits = max(profile.worst_max_dwell, 1).bit_length()
             budget = self._budget[i]
             inst_bits = budget.bit_length() if budget else 0
             self._app_shift.append(shift)
@@ -712,9 +730,10 @@ class PackedSlotSystem:
         if tag == TAG_WAITING:
             # Saturate instead of wrapping into the neighbouring fields.
             # The verifier never advances past an error state (waits stay
-            # within max_wait + 1 there) and the field holds at least
-            # 2 * (max_wait + 1) - 1, so saturation only engages deep in
-            # post-miss territory; it keeps `wait > max_wait` (the reported
+            # within max_wait + 1 there) and the field is the narrowest
+            # width whose mask is at least 2 * (max_wait + 1) - 1 (and
+            # r - 1, for the recovery clock), so saturation only engages deep
+            # in post-miss territory; it keeps `wait > max_wait` (the reported
             # miss) stable, but relative slacks among several long-overdue
             # waiters are no longer exact — callers replaying past a miss
             # must switch to the tuple semantics (see SlotScheduleSimulator).

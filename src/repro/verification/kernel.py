@@ -82,7 +82,10 @@ __all__ = [
 ]
 
 #: On-disk ``.npz`` format version of :meth:`CompiledStateGraph.save`.
-GRAPH_FORMAT_VERSION = 1
+#: Version 2 packs states with the narrowest field widths (see
+#: :mod:`repro.scheduler.packed`); store entries and checkpoints of older
+#: versions are logged, dropped and recompiled.
+GRAPH_FORMAT_VERSION = 2
 
 #: Sentinel ``label`` marking a record without a parent (the root) in the
 #: sharded engine's packed candidate buffers.  Real labels are arrival
@@ -439,7 +442,7 @@ class PackedStateTable:
         states = self._states
         if self._words == 2:
             # Column-view compares skip the 2-d gather + all(axis=1)
-            # reduction on the (dominant) two-word hot path.
+            # reduction on the two-word path (65- to 128-bit states).
             s0, s1 = states[:, 0], states[:, 1]
             k0, k1 = keys[:, 0], keys[:, 1]
 

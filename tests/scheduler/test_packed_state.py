@@ -14,7 +14,11 @@ from collections import deque
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.casestudy import computed_profiles, paper_profiles
+from repro.dimensioning.first_fit import dimension_with_verification
 from repro.exceptions import SchedulingError
 from repro.scheduler.packed import PackedSlotSystem, advance_packed, packed_system_for
 from repro.scheduler.slot_system import (
@@ -24,6 +28,7 @@ from repro.scheduler.slot_system import (
     steady_applications,
 )
 from repro.switching.profile import SwitchingProfile
+from repro.verification.acceleration import instance_budgets
 from repro.verification.exhaustive import ExhaustiveVerifier
 
 
@@ -164,6 +169,78 @@ class TestPackedTransitionEquivalence:
         successor, _ = advance_packed(config, system.initial, 0b01)
         expected, _ = advance(config, initial_state(config), (0,))
         assert system.decode(successor) == expected
+
+
+@st.composite
+def _random_profile(draw, name):
+    max_wait = draw(st.integers(0, 40))
+    min_dwell = draw(st.lists(st.integers(1, 30), min_size=max_wait + 1, max_size=max_wait + 1))
+    max_dwell = [low + draw(st.integers(0, 40)) for low in min_dwell]
+    requirement = draw(st.integers(1, 60))
+    return SwitchingProfile.from_arrays(
+        name=name,
+        requirement_samples=requirement,
+        min_inter_arrival=requirement + draw(st.integers(1, 600)),
+        min_dwell=min_dwell,
+        max_dwell=max_dwell,
+    )
+
+
+@st.composite
+def _random_config(draw):
+    count = draw(st.integers(1, 4))
+    profiles = [draw(_random_profile(f"P{i}")) for i in range(count)]
+    budgets = {
+        profile.name: draw(st.integers(1, 9))
+        for profile in profiles
+        if draw(st.booleans())
+    }
+    return SlotSystemConfig.from_profiles(profiles, budgets)
+
+
+class TestFieldWidths:
+    """Each packed field is the narrowest width that holds every value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=_random_config())
+    def test_fields_hold_their_largest_values_and_no_more(self, config):
+        system = PackedSlotSystem(config)
+        for i, profile in enumerate(config.profiles):
+            # Waits reach max_wait + 1 at a miss and saturate at the mask
+            # after it; recovery clocks stay below r.
+            c1_need = max(2 * (profile.max_wait + 1) - 1, profile.min_inter_arrival - 1)
+            # The advanced dwell c2 + 1 reaches the max dwell at release.
+            c2_need = max(profile.worst_max_dwell, 1)
+            assert system._c1_mask[i] >= c1_need
+            assert system._c2_mask[i] >= profile.worst_max_dwell
+            assert system._c1_mask[i] >> 1 < c1_need
+            assert system._c2_mask[i] >> 1 < c2_need
+
+    def test_case_study_slots_fit_one_word(self):
+        """Every slot the dimensioning flow and the S1 questions verify runs
+        the single-word kernel path."""
+        computed = computed_profiles()
+        partition = (("C1", "C5", "C4", "C3"), ("C6", "C2"))
+        tried = []
+
+        def admit(candidate):
+            names = [profile.name for profile in candidate]
+            tried.append(candidate)
+            return any(set(names) <= set(slot) for slot in partition)
+
+        outcome = dimension_with_verification(computed, admission_test=admit)
+        assert outcome.partition() == partition
+        assert len(tried) == 6
+        paper = paper_profiles()
+        s1 = [paper[name] for name in ("C1", "C5", "C4", "C3")]
+        witness = [paper[name] for name in ("C1", "C5", "C4", "C6")]
+        configs = [
+            SlotSystemConfig.from_profiles(slot, instance_budgets(slot))
+            for slot in tried + [s1, witness]
+        ]
+        configs.append(SlotSystemConfig.from_profiles(s1))
+        for config in configs:
+            assert PackedSlotSystem(config).packed_words == 1, config.names
 
 
 class TestPostMissSaturation:

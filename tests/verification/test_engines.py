@@ -14,7 +14,7 @@ import pytest
 
 from repro.exceptions import VerificationError
 from repro.scheduler.packed import PackedSlotSystem
-from repro.scheduler.slot_system import SlotSystemConfig
+from repro.scheduler.slot_system import SlotSystemConfig, advance, initial_state
 from repro.switching.profile import SwitchingProfile
 from repro.verification import (
     ENGINE_ENV_VAR,
@@ -24,6 +24,7 @@ from repro.verification import (
     SequentialPackedEngine,
     ShardedEngine,
     VectorizedEngine,
+    instance_budgets,
     resolve_engine,
     verify_slot_sharing,
 )
@@ -143,6 +144,48 @@ class TestEngineEquivalence:
             outcome = _explore(spec, config)
             assert outcome.feasible, spec
             assert outcome.visited_count == reference.visited_count, spec
+
+
+class TestTwoWordCaseStudySlot:
+    """{C2, C3, C4, C6} with the Sec. 5 budgets needs 65-bit states: the
+    case-study configuration that keeps the multi-word kernel path covered
+    end to end."""
+
+    NAMES = ("C2", "C3", "C4", "C6")
+
+    def _slot(self, case_study_profiles):
+        slot = [case_study_profiles[name] for name in self.NAMES]
+        return slot, instance_budgets(slot)
+
+    def test_engines_agree_on_verdict_and_error_depth(self, case_study_profiles):
+        slot, budget = self._slot(case_study_profiles)
+        config = SlotSystemConfig.from_profiles(slot, budget)
+        assert PackedSlotSystem(config).packed_words == 2
+        reference = _explore("sequential", config)
+        assert not reference.feasible
+        for spec in ("vectorized", "kernel"):
+            outcome = _explore(spec, config)
+            assert not outcome.feasible, spec
+            assert outcome.levels == reference.levels, spec
+
+    def test_kernel_counterexample_replays_to_a_miss(self, case_study_profiles):
+        slot, budget = self._slot(case_study_profiles)
+        result = verify_slot_sharing(slot, instance_budget=budget, engine="kernel")
+        assert not result.feasible
+        sequential = verify_slot_sharing(slot, instance_budget=budget, engine="sequential")
+        assert len(result.counterexample) == len(sequential.counterexample)
+        # Independent replay under the tuple semantics: no miss before the
+        # last sample, a miss of the reported applications at it.
+        config = SlotSystemConfig.from_profiles(slot, budget)
+        state = initial_state(config)
+        for step in result.counterexample:
+            arrivals = tuple(config.index_of(name) for name in step.arrivals)
+            state, events = advance(config, state, arrivals)
+            missed = tuple(config.names[index] for index in events.deadline_misses)
+            occupant = None if state.slot_free() else config.names[state.occupant]
+            assert (missed, occupant) == (step.missed, step.occupant)
+        assert result.counterexample[-1].missed
+        assert not any(step.missed for step in result.counterexample[:-1])
 
 
 class TestEngineSemantics:

@@ -15,18 +15,21 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.exceptions import VerificationError
-from repro.scheduler.packed import PackedSlotSystem
+from repro.scheduler.packed import PackedSlotSystem, clear_packed_caches
 from repro.scheduler.slot_system import SlotSystemConfig
 from repro.verification import (
     GraphStore,
     STORE_BYTES_ENV_VAR,
+    ExhaustiveVerifier,
     config_fingerprint,
     store_for,
+    verify_slot_sharing,
 )
-from repro.verification.kernel import CompiledStateGraph
+from repro.verification.kernel import GRAPH_FORMAT_VERSION, CompiledStateGraph
 from repro.verification.store import DEFAULT_CLAIM_TIMEOUT
 
 
@@ -400,3 +403,79 @@ class TestCheckpointCrashWindows:
         store.evict()
         assert not os.path.exists(checkpoint)
         assert store.has(fingerprint)
+
+
+# ------------------------------------------------------------ format upgrade
+def _rewrite_as_version_1(path: str) -> None:
+    """Stamp a saved graph with format version 1, the layout that packed
+    states with one spare bit per counter field."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["meta"][0] = 1
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+
+
+class TestStaleFormatRecompiles:
+    """Entries and checkpoints of an older graph format follow the store's
+    log-drop-recompile rule: the verification answers as if cold."""
+
+    def _reference(self, profiles):
+        result = verify_slot_sharing(
+            profiles, engine="kernel", with_counterexample=False
+        )
+        clear_packed_caches()
+        return result.feasible, result.explored_states
+
+    def test_version_1_entry_is_dropped_and_recompiled(
+        self, tmp_path, small_profile, second_small_profile, caplog
+    ):
+        profiles = [small_profile, second_small_profile]
+        reference = self._reference(profiles)
+        directory = str(tmp_path)
+        verify_slot_sharing(
+            profiles, engine="kernel", with_counterexample=False, graph_dir=directory
+        )
+        fingerprint = config_fingerprint(SlotSystemConfig.from_profiles(profiles))
+        entry = store_for(directory).entry_path(fingerprint)
+        _rewrite_as_version_1(entry)
+        clear_packed_caches()
+
+        with caplog.at_level(logging.WARNING, logger="repro.verification.store"):
+            result = verify_slot_sharing(
+                profiles, engine="kernel", with_counterexample=False,
+                graph_dir=directory,
+            )
+        assert (result.feasible, result.explored_states) == reference
+        assert any(
+            "unusable graph-store entry" in record.message
+            and "format" in record.message
+            for record in caplog.records
+        )
+        # The recompile republished the entry in the current format.
+        with np.load(entry, allow_pickle=False) as data:
+            assert int(data["meta"][0]) == GRAPH_FORMAT_VERSION
+
+    def test_version_1_checkpoint_is_dropped_and_recompiled(
+        self, tmp_path, small_profile, second_small_profile, caplog
+    ):
+        profiles = [small_profile, second_small_profile]
+        reference = self._reference(profiles)
+        directory = str(tmp_path)
+        partial = _partial_system(*profiles)
+        checkpoint = store_for(directory).publish_checkpoint(partial)
+        _rewrite_as_version_1(checkpoint)
+        clear_packed_caches()
+
+        verifier = ExhaustiveVerifier(profiles, engine="kernel", graph_dir=directory)
+        with caplog.at_level(logging.WARNING, logger="repro.verification.store"):
+            result = verifier.verify(with_counterexample=False)
+        assert (result.feasible, result.explored_states) == reference
+        assert not verifier.resumed_from_checkpoint
+        assert any(
+            "unusable exploration checkpoint" in record.message
+            and "format" in record.message
+            for record in caplog.records
+        )
+        assert not os.path.exists(checkpoint)
+        assert store_for(directory).has(config_fingerprint(partial.config))
