@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -24,7 +27,6 @@ import pytest
 
 from _bench_utils import print_block
 from repro.casestudy import paper_profiles
-from repro.scheduler.packed import clear_packed_caches
 from repro.service import ServiceClient, VerificationService
 from repro.service.protocol import profiles_to_wire
 from repro.switching.profile import SwitchingProfile
@@ -73,30 +75,64 @@ def _unseen_config():
     return [profiles["C6"], profiles["C2"], synthetic]
 
 
-@pytest.mark.benchmark(group="service")
-def test_bench_service_warm_admission_qps(benchmark, tmp_path):
-    """Warm-path admission throughput over one client connection."""
+def _warm_admission_child(root):
+    """Body of the fresh interpreter that measures warm admissions.
+
+    A private server thread and one client connection: after the priming
+    admit it prints ``ready``, then times one batch of admits per line read
+    from stdin (the line holds the batch size) and prints the seconds; at
+    end of input it prints the server's counters as JSON.
+    """
     profiles = paper_profiles()
     config = [profiles["C6"], profiles["C2"]]  # the paper's slot S2
-    batch = 500
-    rates = []
-
-    # Earlier benchmark groups may have left this config's compiled graph
-    # in the process-wide packed-system LRU; start cold so the priming
-    # admit is the one measured compile.
-    clear_packed_caches()
-    with _running_server(tmp_path) as service:
+    with _running_server(root) as service:
         with ServiceClient(service.socket_path) as client:
             assert client.admit(config)  # prime: one cold compile
+            print("ready", flush=True)
+            for line in sys.stdin:
+                start = time.perf_counter()
+                for _ in range(int(line)):
+                    client.admit(config)
+                print(time.perf_counter() - start, flush=True)
+            window = dict(service.stats)
+    print(json.dumps({key: window[key] for key in ("memory_hits", "compiles")}))
+
+
+@pytest.mark.benchmark(group="service")
+def test_bench_service_warm_admission_qps(benchmark, tmp_path):
+    """Warm-path admission throughput over one client connection.
+
+    The server and the client run in a fresh interpreter, so the reading
+    does not depend on what earlier tests left in this process.
+    """
+    batch = 500
+    rates = []
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
+        f"import test_bench_service as bench; bench._warm_admission_child({str(tmp_path)!r})"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    ) as child:
+        try:
+            assert child.stdout.readline().strip() == "ready"
 
             def run():
-                start = time.perf_counter()
-                for _ in range(batch):
-                    client.admit(config)
-                rates.append(batch / (time.perf_counter() - start))
+                child.stdin.write(f"{batch}\n")
+                child.stdin.flush()
+                rates.append(batch / float(child.stdout.readline()))
 
             benchmark.pedantic(run, iterations=1, rounds=3)
-            window = dict(service.stats)
+            child.stdin.close()
+            window = json.loads(child.stdout.readline())
+        finally:
+            if not child.stdin.closed:  # the measurement failed part-way
+                child.kill()
+    assert child.returncode == 0
 
     best = max(rates)
     print_block(

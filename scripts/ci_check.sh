@@ -22,7 +22,8 @@
 #                    (uploaded as a CI artifact).
 #   SKIP_TESTS=1     only run lint + the benchmark gate (e.g. after a
 #                    test-only CI stage already ran the suite).
-#   SKIP_LINT=1      skip the static checks (ruff + compileall).
+#   SKIP_LINT=1      skip the static checks (ruff + compileall + a
+#                    warnings-as-errors compile of src/repro/_native.c).
 #
 # When $GITHUB_STEP_SUMMARY is set (GitHub Actions), the gate also appends
 # its markdown table there.
@@ -51,6 +52,7 @@ if [[ "${SKIP_LINT:-0}" != "1" ]]; then
         echo "ruff not installed; skipping (the hosted lint job enforces it)"
     fi
     python -m compileall -q src tests benchmarks scripts examples
+    cc -std=c11 -O2 -Wall -Wextra -Werror -shared -fPIC -o /dev/null src/repro/_native.c
 fi
 
 if [[ "${SKIP_TESTS:-0}" != "1" ]]; then

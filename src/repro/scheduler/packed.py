@@ -34,8 +34,8 @@ with each application block laid out as::
 present when the application has an instance budget.
 
 Each field is as narrow as its largest value allows, so that the case-study
-slots fit one ``uint64`` word and run the single-word paths of the
-expansion and dedupe kernels:
+slots fit one ``uint64`` word, the case the native expansion and probe
+loops specialise for:
 
 * counter 1 is the narrowest width whose mask is at least
   ``max(2 * (max_wait + 1) - 1, r - 1)``: the wait reaches ``max_wait + 1``
@@ -60,6 +60,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import _native
 from ..exceptions import SchedulingError
 from .slot_system import (
     DONE,
@@ -455,11 +456,9 @@ class PackedSlotSystem:
         return matrix
 
     def _frontier_expander(self) -> "_FrontierExpander":
-        expander = self._expander
-        if expander is None:
-            expander = _FrontierExpander(self)
-            self._expander = expander
-        return expander
+        if self._expander is None:
+            self._expander = _FrontierExpander(self)
+        return self._expander
 
     @property
     def can_expand_frontier(self) -> bool:
@@ -473,14 +472,12 @@ class PackedSlotSystem:
         return self._frontier_expander().ok
 
     def expand_frontier(self, word_matrix):
-        """Expand a whole frontier of packed states in one vectorized pass.
+        """Expand a whole frontier of packed states in one native pass.
 
-        The block-table expansion kernel: per-application XOR-delta block
-        tables and the arrival-subset enumeration are precompiled into flat
-        numpy arrays (see :class:`_FrontierExpander`), so the entire
-        frontier expands with a fixed sequence of gathers and XORs — no
-        Python loop per state, the cold-exploration workhorse of the
-        vectorized / compiled-kernel / sharded engines.
+        The block-table expansion kernel (:class:`_FrontierExpander`): one
+        C loop over per-application XOR-delta block tables, no Python work
+        per state — the cold-exploration workhorse of the vectorized /
+        compiled-kernel / sharded engines.
 
         Args:
             word_matrix: ``(count, packed_words)`` ``uint64`` array of
@@ -498,14 +495,14 @@ class PackedSlotSystem:
 
         Raises:
             SchedulingError: when the configuration cannot use the
-                vectorized kernel (see :attr:`can_expand_frontier`).
+                expansion kernel (see :attr:`can_expand_frontier`).
         """
         import numpy as np
 
         expander = self._frontier_expander()
         if not expander.ok:
             raise SchedulingError(
-                "configuration too wide for the vectorized expansion kernel; "
+                "configuration too wide for the expansion kernel; "
                 "check can_expand_frontier and use successors()/"
                 "successor_tables_words() instead"
             )
@@ -690,7 +687,7 @@ class PackedSlotSystem:
                 close()
 
     def clear_expansion_tables(self) -> None:
-        """Drop the compiled block tables of the vectorized expansion kernel.
+        """Drop the compiled block tables of the frontier expansion kernel.
 
         The :class:`_FrontierExpander` and the per-application block memos
         are pure configuration data and normally survive
@@ -922,46 +919,42 @@ class PackedSlotSystem:
 
 
 class _FrontierExpander:
-    """Vectorized block-table expansion kernel of one packed system.
+    """Block-table expansion kernel of one packed system.
 
-    Backs :meth:`PackedSlotSystem.expand_frontier`: the per-application
+    Backs :meth:`PackedSlotSystem.expand_frontier`.  The per-application
     block tables (:meth:`PackedSlotSystem._block_info` — clock-advanced
-    block, XOR deltas per role, grant priority, flags) are compiled into
-    flat numpy arrays keyed by dense *block rows*, and the arrival-subset
-    enumeration per eligible mask into a padded ``uint64`` lookup table, so
-    expanding a whole frontier of packed states is a fixed sequence of
-    numpy gathers, XORs and one ``argmin`` — no Python work per state or
-    per transition.
-
-    The expansion mirrors :meth:`PackedSlotSystem._expand` exactly; the
-    reductions that make it vectorizable:
+    block, XOR deltas per role, grant priority, flags) live in one
+    ``uint64`` array per application, one row per known block value, and
+    the native loop ``nk_expand`` (:mod:`repro._native`) walks them for a
+    whole frontier, mirroring :meth:`PackedSlotSystem._expand` exactly.
+    Two reductions keep it one pass per state:
 
     * the successor's *buffer order* is never materialized (the packed
       state stores only the member mask), so of the arbiter's slack-sorted
       merge only the **head** matters — the granted application is the
-      ``argmin`` of a per-application composite priority key
-      ``(slack, -wait, index)`` packed into one ``int64`` over the members
-      of ``buffer | arrivals``;
+      minimum of a composite priority key ``(slack, -wait, index)`` packed
+      into one ``int64`` over the members of ``buffer | arrivals``;
     * the deadline-miss field of the events is subset-independent: arrivals
       are steady (miss bit 0), so the miss mask is the OR of the *buffer*
       members' miss bits however the grant falls.
 
-    Only encodings whose event bit field and priority key fit one
-    ``uint64``/``int64`` are supported (:attr:`ok`); callers fall back to
-    the per-state path otherwise (astronomically large configurations).
+    Block semantics stay in Python: ``nk_block_rows`` maps the frontier's
+    blocks to table rows and reports the unseen ones, which
+    :meth:`_add_block` derives from ``_block_info`` before the pass runs
+    again.  Only encodings whose event bit field and priority key fit one
+    word are supported (:attr:`ok`); callers fall back to per-state
+    ``successors()`` otherwise.
     """
 
     def __init__(self, system: "PackedSlotSystem") -> None:
         import numpy as np
 
         self.system = system
-        n = system._n
-        self.n = n
+        n = self.n = system._n
         self.words = system.packed_words
         self._np = np
-
-        self._occ_bits = system._occ_field.bit_length()
-        self._block_bits = [mask.bit_length() for mask in system._block_mask]
+        occ_bits = system._occ_field.bit_length()
+        block_bits = [mask.bit_length() for mask in system._block_mask]
         # Composite grant-priority key: ((slack + bias) << sh1) |
         # ((bias - wait) << sh0) | index, ordered like (slack, -wait, index).
         wait_bits = max(mask.bit_length() for mask in system._c1_mask)
@@ -969,68 +962,61 @@ class _FrontierExpander:
         self._prio_bias = 1 << wait_bits
         self._prio_sh0 = idx_bits
         self._prio_sh1 = idx_bits + wait_bits + 1
-        prio_width = self._prio_sh1 + wait_bits + 1
-        event_width = system._ev_released_shift + self._occ_bits
-        #: Whether the single-word event / priority encodings fit (and the
-        #: numpy runtime is recent enough — ``bitwise_count`` needs 2.0);
-        #: when False, ``expand_frontier`` is unavailable and callers use
-        #: the per-state expansion instead.
+        #: Whether the single-word event / priority encodings fit; when
+        #: False, ``expand_frontier`` is unavailable and callers use the
+        #: per-state expansion instead.
         self.ok = (
-            event_width <= 64
-            and prio_width <= 62
-            and max(self._block_bits) <= 64
+            system._ev_released_shift + occ_bits <= 64
+            and self._prio_sh1 + wait_bits + 1 <= 62
+            and max(block_bits) <= 64
             and n <= 62
-            and hasattr(np, "bitwise_count")
         )
-
-        # Per-application block tables: dense row per distinct block value,
-        # staged in Python lists and rebuilt into flat arrays when new
-        # blocks appear (the distinct-block count per application is tiny).
+        # The layouts of _native.c: the cfg array, and one table row = five
+        # word-wide XOR deltas (adv, post, arr, arrg, bufg), then prio, elig,
+        # recov, miss, release, preempt.
+        self._cfg = np.array(
+            [n, self.words, system._occ_shift, occ_bits, system._buf_shift,
+             system._ev_recovered_shift, system._ev_admitted_shift,
+             system._ev_granted_shift, system._ev_preempted_shift,
+             system._ev_released_shift]
+            + [v for i in range(n) for v in (system._app_shift[i], block_bits[i])],
+            dtype=np.int64,
+        )
         self._row_of: List[Dict[int, int]] = [dict() for _ in range(n)]
-        self._staging: List[List[tuple]] = [[] for _ in range(n)]
-        self._tables: List[Optional[dict]] = [None] * n
-        self._subset_arrays: Dict[int, object] = {}
-        # Direct block-value -> table-row lookup (-1 = not interned yet);
-        # skips the np.unique pass per application per level.  Falls back
-        # to the unique-and-dict path for very wide block fields.
-        self._dense_rows: List[Optional[object]] = [
-            np.full(1 << bits, -1, dtype=np.int64) if bits <= 20 else None
-            for bits in self._block_bits
+        self._tables = [np.zeros((8, 5 * self.words + 6), np.uint64) for _ in range(n)]
+        # Direct block value -> row lookup (-1 = unseen) for block fields up
+        # to 20 bits; wider fields search a sorted copy of the known values.
+        self._dense = [
+            np.full(1 << bits, -1, dtype=np.int32) if bits <= 20 else None
+            for bits in block_bits
         ]
-        # Dense padded arrival-subset LUT over all eligible-mask values,
-        # filled lazily row by row (small n only; one row per mask value).
-        if self.ok and n <= 10:
-            self._lut = np.zeros((1 << n, 1 << n), dtype=np.uint64)
-            self._lut_filled = np.zeros(1 << n, dtype=bool)
-        else:
-            self._lut = None
-            self._lut_filled = None
+        self._sorted: List[Optional[tuple]] = [None] * n
+        # Per application: table, dense, sorted keys, sorted rows, count.
+        self._ptrs = np.zeros((n, 5), dtype=np.uint64)
+        for index in range(n):
+            self._publish(index)
 
-    # ------------------------------------------------------------- internals
-    def _to_words(self, value: int) -> Tuple[int, ...]:
-        """Split one packed-width int into uint64 words (MSW first)."""
-        mask = (1 << 64) - 1
-        words = self.words
-        return tuple((value >> (64 * (words - 1 - j))) & mask for j in range(words))
-
-    def _extract(self, matrix, shift: int, width: int):
-        """Gather a bit field from every word row (handles word straddle)."""
+    def _publish(self, index: int) -> None:
+        """Point the native loop at one application's current arrays."""
         np = self._np
-        col = self.words - 1 - shift // 64
-        off = shift % 64
-        values = matrix[:, col] >> np.uint64(off) if off else matrix[:, col]
-        if off and col > 0 and off + width > 64:
-            values = values | (matrix[:, col - 1] << np.uint64(64 - off))
-        return values & np.uint64((1 << width) - 1)
+        ptrs = self._ptrs[index]
+        ptrs[0] = self._tables[index].ctypes.data
+        if self._dense[index] is not None:
+            ptrs[1] = self._dense[index].ctypes.data
+            return
+        known = self._row_of[index]
+        keys = np.array(sorted(known), dtype=np.uint64)
+        rows = np.array([known[key] for key in keys.tolist()], dtype=np.int32)
+        self._sorted[index] = (keys, rows)
+        ptrs[2], ptrs[3], ptrs[4] = keys.ctypes.data, rows.ctypes.data, keys.size
 
-    def _add_block(self, index: int, block: int) -> int:
+    def _add_block(self, index: int, block: int) -> None:
         """Intern one block value: compute its table row from the block info."""
         system = self.system
         memo = system._block_memo[index]
         info = memo.get(block)
         if info is None:
-            info = system._block_info(index, block)
-            memo[block] = info
+            info = memo[block] = system._block_info(index, block)
         (adv, wait, elig, recov, release, preempt, post, arr, arrg, bufg, miss,
          slack) = info
         prio = (
@@ -1039,267 +1025,44 @@ class _FrontierExpander:
             | index
         )
         row = len(self._row_of[index])
-        self._row_of[index][block] = row
-        self._staging[index].append(
-            (
-                self._to_words(adv),
-                self._to_words(post),
-                self._to_words(arr),
-                self._to_words(arrg),
-                self._to_words(bufg),
-                prio,
-                elig,
-                recov,
-                miss,
-                release,
-                preempt,
-            )
-        )
-        self._tables[index] = None
-        return row
-
-    def _table(self, index: int) -> dict:
-        """Flat numpy arrays of one application's block table (rebuilt lazily)."""
         table = self._tables[index]
-        if table is None:
-            np = self._np
-            rows = self._staging[index]
-            table = {
-                "adv": np.array([r[0] for r in rows], dtype=np.uint64),
-                "post": np.array([r[1] for r in rows], dtype=np.uint64),
-                "arr": np.array([r[2] for r in rows], dtype=np.uint64),
-                "arrg": np.array([r[3] for r in rows], dtype=np.uint64),
-                "bufg": np.array([r[4] for r in rows], dtype=np.uint64),
-                "prio": np.array([r[5] for r in rows], dtype=np.int64),
-                "elig": np.array([r[6] for r in rows], dtype=np.uint64),
-                "recov": np.array([r[7] for r in rows], dtype=np.uint64),
-                "miss": np.array([r[8] for r in rows], dtype=np.uint64),
-                "release": np.array([r[9] for r in rows], dtype=bool),
-                "preempt": np.array([r[10] for r in rows], dtype=bool),
-            }
-            self._tables[index] = table
-        return table
+        if row == table.shape[0]:
+            table = self._tables[index] = self._np.concatenate((table, 0 * table))
+        words = self.words
+        table[row] = [
+            (value >> (64 * (words - 1 - j))) & ((1 << 64) - 1)
+            for value in (adv, post, arr, arrg, bufg)
+            for j in range(words)
+        ] + [prio, elig, recov, miss, int(release), int(preempt)]
+        self._row_of[index][block] = row
+        if self._dense[index] is not None:
+            self._dense[index][block] = row
 
-    def _block_rows(self, index: int, blocks):
-        """Map a column of block values to dense table rows (interning new ones)."""
-        np = self._np
-        dense = self._dense_rows[index]
-        if dense is not None:
-            rows = dense[blocks]
-            missing = rows < 0
-            if missing.any():
-                for value in np.unique(blocks[missing]).tolist():
-                    dense[value] = self._add_block(index, value)
-                rows = dense[blocks]
-            return rows
-        unique, inverse = np.unique(blocks, return_inverse=True)
-        mapping = self._row_of[index]
-        rows = np.empty(unique.size, dtype=np.int64)
-        for j, value in enumerate(unique.tolist()):
-            row = mapping.get(value)
-            if row is None:
-                row = self._add_block(index, value)
-            rows[j] = row
-        return rows[inverse]
-
-    def _subset_array(self, eligible_value: int):
-        """Cached ``uint64`` array of one eligible mask's arrival subsets."""
-        np = self._np
-        array = self._subset_arrays.get(eligible_value)
-        if array is None:
-            array = np.array(
-                self.system.arrival_subsets(eligible_value), dtype=np.uint64
-            )
-            self._subset_arrays[eligible_value] = array
-        return array
-
-    def _subset_lut(self, eligible):
-        """Arrival-subset lookup: ``(lut, row_index)`` per frontier state."""
-        np = self._np
-        if self._lut is not None:
-            rows = eligible.astype(np.int64)
-            filled = self._lut_filled
-            if not filled[rows].all():
-                for value in np.unique(rows[~filled[rows]]).tolist():
-                    array = self._subset_array(value)
-                    self._lut[value, : array.size] = array
-                    filled[value] = True
-            return self._lut, rows
-        unique, inverse = np.unique(eligible, return_inverse=True)
-        arrays = [self._subset_array(value) for value in unique.tolist()]
-        width = max(array.size for array in arrays)
-        lut = np.zeros((len(arrays), width), dtype=np.uint64)
-        for row, array in enumerate(arrays):
-            lut[row, : array.size] = array
-        return lut, inverse
-
-    # ------------------------------------------------------------- expansion
     def expand(self, matrix):
         """Expand every state of a word-row frontier (see ``expand_frontier``)."""
         np = self._np
-        system = self.system
-        n = self.n
-        words = self.words
+        library = _native.load()
         count = matrix.shape[0]
-        if count == 0:
-            return (
-                np.zeros((0, words), dtype=np.uint64),
-                np.zeros(0, dtype=np.uint64),
-                np.zeros(0, dtype=np.int64),
-            )
-
-        # ---- per-state gathers from the block tables ----------------------
-        # Only the fields every state needs are gathered per state (the
-        # advanced block, eligibility, recovery, grant priority, and the
-        # miss bits of buffer members); the role XOR deltas and the
-        # occupant-exit fields are gathered lazily below, on exactly the
-        # rows that use them — the bulk of the old per-level gather cost
-        # served transitions that never touched the gathered values.
-        base = np.zeros((count, words), dtype=np.uint64)
-        eligible = np.zeros(count, dtype=np.uint64)
-        recovered = np.zeros(count, dtype=np.uint64)
-        buffer_mask = self._extract(matrix, system._buf_shift, n)
-        miss_state = np.zeros(count, dtype=np.uint64)
-        rows_of: List = [None] * n
-        prio_of: List = [None] * n
-        tables: List[dict] = [None] * n
-        zero = np.uint64(0)
-        for i in range(n):
-            blocks = self._extract(matrix, system._app_shift[i], self._block_bits[i])
-            rows = self._block_rows(i, blocks)
-            table = self._table(i)
-            rows_of[i] = rows
-            tables[i] = table
-            base ^= table["adv"][rows]
-            eligible |= table["elig"][rows]
-            recovered |= table["recov"][rows]
-            members = np.flatnonzero((buffer_mask >> np.uint64(i)) & np.uint64(1))
-            if members.size:
-                miss_state[members] |= table["miss"][rows[members]]
-            prio_of[i] = table["prio"][rows]
-
-        occupant = (
-            self._extract(matrix, system._occ_shift, self._occ_bits).astype(np.int64)
-            - 1
-        )
-        occ_release = np.zeros(count, dtype=bool)
-        occ_preempt = np.zeros(count, dtype=bool)
-        occ_post = np.zeros((count, words), dtype=np.uint64)
-        for i in range(n):
-            held = np.flatnonzero(occupant == i)
-            if held.size:
-                rows = rows_of[i][held]
-                occ_release[held] = tables[i]["release"][rows]
-                occ_preempt[held] = tables[i]["preempt"][rows]
-                occ_post[held] = tables[i]["post"][rows]
-
-        # ---- one transition row per (state, arrival subset) ---------------
-        counts = np.int64(1) << np.bitwise_count(eligible).astype(np.int64)
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        origin = np.repeat(np.arange(count, dtype=np.int64), counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(indptr[:-1], counts)
-        lut, lut_row = self._subset_lut(eligible)
-        amask = lut[lut_row[origin], within]
-
-        merged = buffer_mask[origin] | amask
-        merged_nonempty = merged != 0
-        freed_release = occ_release[origin]
-        freed_preempt = occ_preempt[origin] & ~freed_release & merged_nonempty
-        exits = freed_release | freed_preempt
-        slot_free = (occupant[origin] < 0) | exits
-        grants = slot_free & merged_nonempty
-
-        # Granted application: argmin of the composite (slack, -wait, index)
-        # key over the members of buffer | arrivals.  The buffer part is a
-        # per-*state* minimum (the member set is fixed per state), so it is
-        # computed once over the frontier and only the arrivals — a handful
-        # of sparse rows per application — update it per transition.
-        infinity = np.iinfo(np.int64).max
-        buffer_key = np.full(count, infinity, dtype=np.int64)
-        buffer_app = np.zeros(count, dtype=np.int64)
-        for i in range(n):
-            members = np.flatnonzero((buffer_mask >> np.uint64(i)) & np.uint64(1))
-            if members.size:
-                candidate = prio_of[i][members]
-                better = candidate < buffer_key[members]
-                rows = members[better]
-                buffer_key[rows] = candidate[better]
-                buffer_app[rows] = i
-        best_key = buffer_key[origin]
-        granted = buffer_app[origin]
-        arrival_rows: List = [None] * n
-        for i in range(n):
-            rows = np.flatnonzero((amask >> np.uint64(i)) & np.uint64(1))
-            arrival_rows[i] = rows
-            if rows.size:
-                candidate = prio_of[i][origin[rows]]
-                better = candidate < best_key[rows]
-                rows = rows[better]
-                best_key[rows] = candidate[better]
-                granted[rows] = i
-
-        succ = base[origin]
-        if exits.any():
-            rows = np.flatnonzero(exits)
-            succ[rows] ^= occ_post[origin[rows]]
-        for i in range(n):
-            table = tables[i]
-            rows_i = rows_of[i]
-            rows = arrival_rows[i]
-            if rows.size:
-                succ[rows] ^= table["arr"][rows_i[origin[rows]]]
-            wins = np.flatnonzero(grants & (granted == i))
-            win_arriving = ((amask[wins] >> np.uint64(i)) & np.uint64(1)) != 0
-            from_arrival = wins[win_arriving]
-            if from_arrival.size:
-                gathered = rows_i[origin[from_arrival]]
-                succ[from_arrival] ^= table["arr"][gathered] ^ table["arrg"][gathered]
-            from_buffer = wins[~win_arriving]
-            if from_buffer.size:
-                succ[from_buffer] ^= table["bufg"][rows_i[origin[from_buffer]]]
-
-        next_occupant = np.where(
-            grants, granted, np.where(exits, np.int64(-1), occupant[origin])
-        )
-        granted_bit = np.where(
-            grants, np.uint64(1) << granted.astype(np.uint64), zero
-        )
-        next_buffer = merged & ~granted_bit
-
-        # ---- occupant + buffer fields placed into the word rows -----------
-        tail = (next_occupant + 1).astype(np.uint64) | (
-            next_buffer << np.uint64(self._occ_bits)
-        )
-        col = words - 1 - system._occ_shift // 64
-        off = system._occ_shift % 64
-        succ[:, col] |= tail << np.uint64(off) if off else tail
-        if off and col > 0:
-            succ[:, col - 1] |= tail >> np.uint64(64 - off)
-
-        # ---- event bit field ----------------------------------------------
-        events = (
-            miss_state[origin]
-            | (recovered[origin] << np.uint64(system._ev_recovered_shift))
-            | (amask << np.uint64(system._ev_admitted_shift))
-            | (
-                np.where(grants, granted + 1, np.int64(0)).astype(np.uint64)
-                << np.uint64(system._ev_granted_shift)
-            )
-            | (
-                np.where(freed_preempt, occupant[origin] + 1, np.int64(0)).astype(
-                    np.uint64
-                )
-                << np.uint64(system._ev_preempted_shift)
-            )
-            | (
-                np.where(freed_release, occupant[origin] + 1, np.int64(0)).astype(
-                    np.uint64
-                )
-                << np.uint64(system._ev_released_shift)
-            )
-        )
+        rows = np.empty((count, self.n), dtype=np.int32)
+        eligible = np.empty(count, dtype=np.uint64)
+        missing = np.empty((count * self.n, 2), dtype=np.uint64)
+        head = (matrix.ctypes.data, count, self._cfg.ctypes.data,
+                self._ptrs.ctypes.data, rows.ctypes.data)
+        tail = (eligible.ctypes.data, missing.ctypes.data)
+        total = library.nk_block_rows(*head, *tail, 0)
+        while total < 0:
+            added = set()
+            for index, block in missing[:-total].tolist():
+                if block not in self._row_of[index]:
+                    self._add_block(index, block)
+                    added.add(index)
+            for index in added:
+                self._publish(index)
+            total = library.nk_block_rows(*head, *tail, 1)
+        succ = np.empty((total, self.words), dtype=np.uint64)
+        events = np.empty(total, dtype=np.uint64)
+        origin = np.empty(total, dtype=np.int64)
+        library.nk_expand(*head, succ.ctypes.data, events.ctypes.data, origin.ctypes.data)
         return succ, events, origin
 
 

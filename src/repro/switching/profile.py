@@ -17,7 +17,7 @@ known, the verification problem is purely a timing problem.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ProfileError
@@ -162,7 +162,8 @@ class SwitchingProfile:
             "tt_settling_samples": self.tt_settling_samples,
             "et_settling_samples": self.et_settling_samples,
             "sampling_period": self.sampling_period,
-            "dwell_table": [asdict(entry) for entry in self.dwell_table],
+            # vars(), not asdict(): its deep copy of plain numbers dominated a request.
+            "dwell_table": [dict(vars(entry)) for entry in self.dwell_table],
         }
 
     def to_json(self, indent: int = 2) -> str:

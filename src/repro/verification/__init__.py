@@ -41,7 +41,7 @@ Selection is per call site (``engine=`` argument on
 through the ``REPRO_VERIFICATION_ENGINE`` environment variable.  The default
 ``"auto"`` picks the sharded engine for packed systems whose estimated state
 space is large when more than one core is usable, the compiled kernel for
-every other packed system the vectorized expansion supports (the graph is
+every other packed system the frontier expansion supports (the graph is
 compiled during the first exploration and replayed afterwards), and the
 sequential engine otherwise.  All engines explore the identical state space — identical
 visited counts on feasible instances and, on every *complete* (non-

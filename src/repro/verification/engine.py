@@ -25,7 +25,7 @@ The pieces:
 * Four engines:
 
   - :class:`SequentialPackedEngine` — the original verifier's BFS,
-    extracted; its packed path now expands levels through the vectorized
+    extracted; its packed path now expands levels through the native
     block-table kernel and dedupes through the fused
     :meth:`~repro.verification.kernel.PackedStateTable.intern_dedup` pass
     while keeping the per-state loop's exact semantics (discovery-order
@@ -39,8 +39,8 @@ The pieces:
     shared-memory frontier rings (:mod:`repro.verification.shm`); the
     pipes carry only level barriers and buffer descriptors (byte payloads
     over the pipes remain as the fallback transport).
-  - :class:`VectorizedEngine` — numpy frontiers over the packed integer
-    states.  Each level expands through the vectorized block-table kernel
+  - :class:`VectorizedEngine` — word-matrix frontiers over the packed
+    integer states.  Each level expands through the native block-table kernel
     (:meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier`) and
     the per-level set work is one fused dedupe–intern pass over an
     open-addressing hash table (:mod:`repro.verification.kernel`).
@@ -988,10 +988,10 @@ class ShardedEngine:
             declared hung; ``None`` reads ``REPRO_SHARD_HEARTBEAT``
             (default 120).
         fault_hook: test/chaos hook ``hook(level, pids)`` called once per
-            BFS level right after the level's first sub-round dispatch,
-            with the completed-level count and the worker pids — fault
-            injectors SIGKILL a pid from here to hit the mid-level window
-            deterministically.  The hook is called every level; injectors
+            BFS level right before the level's first sub-round dispatch,
+            with the completed-level count and the worker pids — a worker
+            SIGKILLed from here dies with the level in flight and before
+            it can answer.  The hook is called every level; injectors
             that should fire once must disarm themselves.
     """
 
@@ -1318,6 +1318,9 @@ class ShardedEngine:
                     if budget <= 0:
                         truncated = True
                         break
+                    if not hook_fired:
+                        hook_fired = True
+                        self._fire_fault_hook(levels)
                     for w, conn in enumerate(connections):
                         take = min(pending_rows[w] - cursors[w], budget)
                         conn.send(
@@ -1325,9 +1328,6 @@ class ShardedEngine:
                         )
                         cursors[w] += take
                         budget -= take
-                    if not hook_fired:
-                        hook_fired = True
-                        self._fire_fault_hook(levels)
                     last_subround = all(
                         pending_rows[w] == cursors[w] for w in range(worker_count)
                     )
@@ -1492,6 +1492,9 @@ class ShardedEngine:
                 if budget <= 0:
                     truncated = True
                     break
+                if not hook_fired:
+                    hook_fired = True
+                    self._fire_fault_hook(levels)
                 for w, conn in enumerate(connections):
                     take = min(len(pending[w]) - cursors[w], budget)
                     batch = pending[w][cursors[w] : cursors[w] + take]
@@ -1501,9 +1504,6 @@ class ShardedEngine:
                         np.ascontiguousarray(batch).tobytes() if take else b""
                     )
                     conn.send(("expand", take, payload, wire_parents))
-                if not hook_fired:
-                    hook_fired = True
-                    self._fire_fault_hook(levels)
                 round_errors: List[Tuple[int, int, int]] = []
                 for conn in connections:
                     reply = conn.recv()
@@ -1636,15 +1636,15 @@ class ShardedEngine:
 class VectorizedEngine:
     """Numpy-frontier BFS over packed integer states.
 
-    Each BFS level expands through the vectorized block-table kernel
+    Each BFS level expands through the native block-table kernel
     (:meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier`, via
     ``successor_tables_words``) on ``uint64`` word rows — states wider than
     64 bits simply use several words, and packed states never round-trip
     through Python ints unless a predecessor store or error witness is
-    requested.  The per-level set work runs vectorized too: the successor
-    multiset deduplicates through ``np.unique`` and the visited set is an
-    open-addressing :class:`~repro.verification.kernel.PackedStateTable`,
-    so membership-plus-insert of a level is one batched hash-table pass,
+    requested.  The per-level set work is batched too: the successor
+    multiset deduplicates inside the probe loop of the open-addressing
+    :class:`~repro.verification.kernel.PackedStateTable`, so
+    membership-plus-insert of a level is one native hash-table pass,
     amortized O(1) per state.  Only packed sources are supported.
     """
 
@@ -1827,7 +1827,7 @@ def resolve_engine(
             it to size the decision: a packed system whose compiled state
             graph is already frozen replays on the kernel engine for free,
             large packed products shard when several cores are usable,
-            every other packed source the vectorized kernel can expand
+            every other packed source the expansion kernel can expand
             *compiles* on the kernel engine (so later ``auto`` runs
             replay), and everything else runs sequential.  Counts of ``auto`` runs are therefore
             level-synchronous for packed sources (see the semantics notes

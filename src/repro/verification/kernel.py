@@ -7,9 +7,10 @@ that this module eliminates:
   visited set was a sorted ``uint64`` array re-built with ``np.insert``
   every BFS level — O(n) per level, quadratic over a run.
   :class:`PackedStateTable` replaces it with an open-addressing hash table
-  (numpy, power-of-two capacity, linear probing): membership and insert are
-  amortized O(1) per key, batched over whole frontiers, and states wider
-  than 64 bits are stored as multi-word rows and hashed down to one word.
+  (numpy arrays, power-of-two capacity, linear probing in the C loop of
+  :mod:`repro._native`): membership and insert are amortized O(1) per key,
+  batched over whole frontiers, and states wider than 64 bits are stored
+  as multi-word rows and hashed down to one word.
 * **Re-expanding states on warm re-verification.**  The paper's Sec. 5
   workload — first-fit dimensioning retries, benchmark rounds, the
   verification-time experiments — verifies the same configuration many
@@ -56,6 +57,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from .. import _native
 from .._validation import env_int
 from ..exceptions import VerificationError
 from ..scheduler.packed import unpack_words
@@ -96,7 +98,6 @@ _SPLIT_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLIT_C2 = np.uint64(0x94D049BB133111EB)
 _FNV_PRIME = np.uint64(0x100000001B3)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_ONE = np.uint64(1)
 
 
 def hash_words(word_matrix: np.ndarray) -> np.ndarray:
@@ -158,17 +159,17 @@ class PackedStateTable:
     * ``_slots`` — the open-addressing array (power-of-two capacity) holding
       state ids, ``-1`` when empty; collisions resolve by linear probing.
     * ``_states`` — the id-indexed key store: row ``i`` is the word row of
-      state id ``i``.  Slot entries carry only the 8-byte id, key compares
-      gather from this single canonical array, and ``state_words`` exposes
-      it as the dense id → state table of the compiled graph.
+      state id ``i``.  Slot entries carry only the 4-byte id, key compares
+      read this single canonical array, and ``state_words`` exposes it as
+      the dense id → state table of the compiled graph.
 
     All operations are batched: ``intern`` / ``lookup`` / ``contains`` take
-    an ``(m, words)`` matrix and run the probe loop over the whole batch at
-    once (each iteration advances every still-unresolved key by one probe
-    step), so the per-key Python overhead is O(max probe length) for the
-    batch, not O(m).  The load factor is kept below ~0.6, which bounds the
-    expected probe length to a small constant — amortized O(1) membership
-    and insert per key, independent of table size.
+    an ``(m, words)`` matrix, hash it with :meth:`_hash_words` and run the
+    native probe loop of :mod:`repro._native` over the whole batch in one
+    call, so there is no per-key Python work.  The load factor is kept
+    below ~0.6, which bounds the expected probe length to a small constant
+    — amortized O(1) membership and insert per key, independent of table
+    size.
 
     ``intern`` requires the batch itself to be duplicate-free;
     :meth:`intern_dedup` accepts arbitrary duplicate-laden batches and
@@ -184,9 +185,7 @@ class PackedStateTable:
             configured byte budget they live in memmaps instead of RAM.
     """
 
-    __slots__ = (
-        "_words", "_capacity", "_mask", "_slots", "_states", "_size", "_store"
-    )
+    __slots__ = ("_words", "_capacity", "_slots", "_states", "_size", "_store")
 
     def __init__(
         self,
@@ -201,7 +200,6 @@ class PackedStateTable:
             capacity <<= 1
         self._words = int(words)
         self._capacity = capacity
-        self._mask = np.uint64(capacity - 1)
         self._store = store
         # Slot entries are int32: a dense id (or an in-batch provisional
         # marker) always fits, and halving the probe array's bytes halves
@@ -245,59 +243,21 @@ class PackedStateTable:
         """Probe hash of a key batch (overridable for collision tests)."""
         return hash_words(keys)
 
-    def _probe_lookup(self, keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-        """Ids of the keys (``-1`` where absent); vectorized linear probing."""
+    def _probe(self, keys: np.ndarray, claim: bool):
+        """Native probe loop over a key batch; ``(ids, claimed, slot_of)``
+        as ``nk_probe`` fills them (see ``_native.c``)."""
         m = keys.shape[0]
-        result = np.full(m, -1, dtype=np.int64)
-        if self._size == 0 or m == 0:
-            return result
-        slots = self._slots
-        states = self._states
-        # Single-word states compare on flat vectors (saves the 2-d gather
-        # plus the all(axis=1) reduction on the hot path).
-        flat_states = states[:, 0] if self._words == 1 else None
-        flat_keys = keys[:, 0] if self._words == 1 else None
-        pos = hashes & self._mask
-        pending = np.arange(m)
-        while pending.size:
-            probe = pos[pending]
-            found_ids = slots[probe]
-            occupied = found_ids >= 0
-            if occupied.any():
-                rows = pending[occupied]
-                candidates = found_ids[occupied]
-                if flat_states is not None:
-                    equal = flat_states[candidates] == flat_keys[rows]
-                else:
-                    equal = (states[candidates] == keys[rows]).all(axis=1)
-                result[rows[equal]] = candidates[equal]
-                pending = rows[~equal]
-            else:
-                break  # every remaining key hit an empty slot: absent
-            if pending.size:
-                pos[pending] = (pos[pending] + _ONE) & self._mask
-        return result
-
-    def _claim_slots(self, ids: np.ndarray, hashes: np.ndarray) -> None:
-        """Insert id entries for keys known to be absent and distinct.
-
-        Scatter-claim loop: every pending key writes its id into its probe
-        slot if empty, re-reads to see whether it won (several keys may race
-        for one slot inside a batch), and losers advance one probe step.
-        """
-        slots = self._slots
-        pos = hashes & self._mask
-        pending = np.arange(ids.shape[0])
-        while pending.size:
-            probe = pos[pending]
-            free = slots[probe] < 0
-            if free.any():
-                slots[probe[free]] = ids[pending[free]]
-                won = slots[pos[pending]] == ids[pending]
-                pending = pending[~won]
-                if not pending.size:
-                    break
-            pos[pending] = (pos[pending] + _ONE) & self._mask
+        hashes = np.ascontiguousarray(self._hash_words(keys), dtype=np.uint64)
+        if hashes.shape != (m,):  # the C loop reads one hash per key
+            raise ValueError(f"_hash_words gave shape {hashes.shape} for {m} keys")
+        ids = np.empty(m, dtype=np.int64)
+        claimed, slot_of = np.empty((2, m if claim else 0), dtype=np.int64)
+        claims = _native.load().nk_probe(
+            self._slots.ctypes.data, self._capacity - 1, self._states.ctypes.data,
+            keys.ctypes.data, hashes.ctypes.data, m, self._words, int(claim),
+            ids.ctypes.data, claimed.ctypes.data, slot_of.ctypes.data,
+        )
+        return ids, claimed[:claims], slot_of
 
     def _reserve(self, incoming: int) -> None:
         """Grow key store / rehash slots so ``incoming`` inserts stay < 0.6 load."""
@@ -323,22 +283,22 @@ class PackedStateTable:
             while needed * 5 >= capacity * 3:
                 capacity <<= 1
             if self._size >= (1 << 17):
-                # Large tables grow 4x extra per rehash: re-claiming
-                # millions of existing keys dominates the claim cost, and
+                # Large tables grow 4x extra per rehash: re-inserting
+                # millions of existing keys dominates the insert cost, and
                 # the wider headroom cuts the number of big rehashes
                 # (usually absorbing the final one entirely) for two
-                # extra doublings of the 8-byte slot array.
+                # extra doublings of the 4-byte slot array.
                 capacity <<= 2
             self._capacity = capacity
-            self._mask = np.uint64(capacity - 1)
             if self._store is not None:
                 self._store.release(self._slots)
             self._slots = self._alloc((capacity,), np.int32, fill=-1)
             if self._size:
-                existing = self._states[: self._size]
-                self._claim_slots(
-                    np.arange(self._size, dtype=np.int64),
-                    self._hash_words(existing),
+                hashes = np.ascontiguousarray(
+                    self._hash_words(self._states[: self._size]), dtype=np.uint64
+                )
+                _native.load().nk_rehash(
+                    self._slots.ctypes.data, capacity - 1, hashes.ctypes.data, self._size
                 )
         if self._store is not None:
             # Growth dirties whole replacement arrays at once; drop the
@@ -346,11 +306,33 @@ class PackedStateTable:
             # level boundary.
             self._store.relax()
 
+    def _insert(self, keys: np.ndarray, by_value: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Intern a key batch; ``(ids, new_rows)``.  New ids follow the
+        packed value (``by_value``) or the row order of the first rows of
+        the new keys; ``new_rows`` lists those first rows in new-id order."""
+        keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1, self._words)
+        # Worst case every row is a distinct new key: reserving up front
+        # keeps the load factor bounded while this batch claims slots.
+        self._reserve(keys.shape[0])
+        ids, claimed, slot_of = self._probe(keys, claim=True)
+        order = None
+        if by_value and claimed.size > 1:
+            new_keys = keys[claimed]
+            order = np.lexsort(new_keys.T[::-1]) if self._words > 1 else new_keys[:, 0].argsort()
+        _native.load().nk_commit(
+            self._slots.ctypes.data, self._states.ctypes.data, keys.ctypes.data,
+            self._words, claimed.ctypes.data, slot_of.ctypes.data,
+            None if order is None else order.ctypes.data, claimed.size, self._size,
+            ids.ctypes.data, keys.shape[0],
+        )
+        self._size += int(claimed.size)
+        return ids, claimed if order is None else claimed[order]
+
     # ------------------------------------------------------------ operations
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Ids of a key batch, ``-1`` where a key is not interned."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1, self._words)
-        return self._probe_lookup(keys, self._hash_words(keys))
+        return self._probe(keys, claim=False)[0]
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         """Boolean membership mask of a key batch."""
@@ -368,21 +350,9 @@ class PackedStateTable:
             ``(ids, new_mask)`` — ``int64`` ids per row and a boolean mask
             flagging the rows that were newly inserted.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1, self._words)
-        m = keys.shape[0]
-        if m == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        self._reserve(m)
-        hashes = self._hash_words(keys)
-        ids = self._probe_lookup(keys, hashes)
-        new_mask = ids < 0
-        new_rows = np.flatnonzero(new_mask)
-        if new_rows.size:
-            new_ids = self._size + np.arange(new_rows.size, dtype=np.int64)
-            ids[new_rows] = new_ids
-            self._states[new_ids] = keys[new_rows]
-            self._size += int(new_rows.size)
-            self._claim_slots(new_ids, hashes[new_rows])
+        ids, new_rows = self._insert(keys, by_value=False)
+        new_mask = np.zeros(ids.shape[0], dtype=bool)
+        new_mask[new_rows] = True
         return ids, new_mask
 
     def intern_dedup(
@@ -391,20 +361,17 @@ class PackedStateTable:
         """Ids of an arbitrary, duplicate-laden key batch in one fused pass.
 
         The engines' per-level set operation: successor multisets go in,
-        dense ids come out, and the dedupe happens *inside* the
-        open-addressing probe loop instead of a separate
-        ``np.unique``-of-void-views sort.  Every row probes from its hash;
-        a row that reaches an empty slot scatter-claims it with a
-        provisional marker (``-(row + 2)``; the re-read decides races), so
-        later duplicates of the same key resolve against the winner's
-        marker exactly like they resolve against an interned id — one probe
-        chain per row, no pre-sort, no second insert pass.
+        dense ids come out, and the dedupe happens *inside* the probe loop.
+        Rows probe in order; a row that reaches an empty slot claims it with
+        a provisional marker, and later duplicates of the same key resolve
+        against the marker exactly like they resolve against an interned id
+        — one probe chain per row, no pre-sort, no second insert pass.
 
-        New keys still receive consecutive ids ascending by packed value
-        within the batch (the claim winners — one per distinct new key —
-        are sorted before ids are assigned), so the result is id-for-id
-        identical to the historical ``np.unique`` + :meth:`intern`
-        pipeline: deterministic truncation-by-id-prefix is preserved.
+        New keys receive consecutive ids ascending by packed value within
+        the batch (only the distinct *new* keys are sorted), so the result
+        is id-for-id identical to the historical ``np.unique`` +
+        :meth:`intern` pipeline: deterministic truncation-by-id-prefix is
+        preserved.
 
         Returns:
             ``(ids, first_mask, new_rows)`` — the ``int64`` dense id of
@@ -415,138 +382,9 @@ class PackedStateTable:
             ordered by ascending new id (equivalently: by packed value) —
             the order the callers append parent records and frontiers in.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1, self._words)
-        m = keys.shape[0]
-        first_mask = np.zeros(m, dtype=bool)
-        if m == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, first_mask, empty
-        if self._words == 1:
-            # Single-word fast path: numpy's stable grouping on the raw
-            # 64-bit word beats a Python-driven probe loop here (the probes
-            # then touch only the distinct keys).  The void-view sort this
-            # method replaces never existed for one-word states.
-            unique_values, first_rows, inverse = np.unique(
-                keys[:, 0], return_index=True, return_inverse=True
-            )
-            unique_ids, new_mask = self.intern(unique_values.reshape(-1, 1))
-            ids = unique_ids[inverse]
-            new_rows = first_rows[new_mask].astype(np.int64)
-            first_mask[new_rows] = True
-            return ids, first_mask, new_rows
-        # Worst case every row is a distinct new key: reserving up front
-        # keeps the load factor bounded while this batch claims slots.
-        self._reserve(m)
-        ids = np.full(m, -1, dtype=np.int64)
-        slots = self._slots
-        states = self._states
-        if self._words == 2:
-            # Column-view compares skip the 2-d gather + all(axis=1)
-            # reduction on the two-word path (65- to 128-bit states).
-            s0, s1 = states[:, 0], states[:, 1]
-            k0, k1 = keys[:, 0], keys[:, 1]
-
-            def matches_state(candidates, rows):
-                return (s0[candidates] == k0[rows]) & (s1[candidates] == k1[rows])
-
-            def matches_key(owners, rows):
-                return (k0[owners] == k0[rows]) & (k1[owners] == k1[rows])
-
-        else:
-
-            def matches_state(candidates, rows):
-                return (states[candidates] == keys[rows]).all(axis=1)
-
-            def matches_key(owners, rows):
-                return (keys[owners] == keys[rows]).all(axis=1)
-
-        hashes = self._hash_words(keys)
-        base = self._size
-        pos = hashes & self._mask
-        pending = np.arange(m)
-        empty_rows = np.empty(0, dtype=np.int64)
-        claim_pos = np.empty(m, dtype=np.int64)
-        while pending.size:
-            probe = pos[pending]
-            found = slots[probe]
-            empty = found == -1
-            if empty.any():
-                # Scatter-claim: several rows may race for one slot; the
-                # re-read decides.  Losers stay put — next iteration they
-                # compare against the winner's marker like any duplicate.
-                # Duplicate scatter indices resolve last-write-wins, so
-                # writing in reverse order makes the earliest pending entry
-                # the winner; duplicate rows of one key always travel
-                # together in ascending row order, so the winner is the
-                # lowest row — first_mask matches np.unique's stable
-                # return_index exactly.
-                erows = pending[empty]
-                eprobe = probe[empty]
-                slots[eprobe[::-1]] = -(erows[::-1] + 2)
-                won = slots[eprobe] == -(erows + 2)
-                wrows = erows[won]
-                first_mask[wrows] = True
-                claim_pos[wrows] = eprobe[won]
-                stay = erows[~won]
-                keep = ~empty
-                rest = pending[keep]
-                rest_found = found[keep]
-            else:
-                stay = empty_rows
-                rest = pending
-                rest_found = found
-            if rest.size:
-                provisional = rest_found < -1
-                if provisional.any():
-                    real = ~provisional
-                    rrows = rest[real]
-                    candidates = rest_found[real]
-                    equal = matches_state(candidates, rrows)
-                    ids[rrows[equal]] = candidates[equal]
-                    advanced_real = rrows[~equal]
-                    prows = rest[provisional]
-                    markers = rest_found[provisional]
-                    equal = matches_key(-markers - 2, prows)
-                    # Duplicates of a still-provisional key record the
-                    # marker; it becomes the final id after the loop.
-                    ids[prows[equal]] = markers[equal]
-                    advanced_prov = prows[~equal]
-                    if advanced_prov.size:
-                        advanced = np.concatenate((advanced_real, advanced_prov))
-                    else:
-                        advanced = advanced_real
-                else:
-                    equal = matches_state(rest_found, rest)
-                    ids[rest[equal]] = rest_found[equal]
-                    advanced = rest[~equal]
-                if advanced.size:
-                    pos[advanced] = (pos[advanced] + _ONE) & self._mask
-                pending = (
-                    np.concatenate((stay, advanced)) if stay.size else advanced
-                )
-            else:
-                pending = stay
-        new_rows = np.flatnonzero(first_mask)
-        if new_rows.size:
-            new_keys = keys[new_rows]
-            # Final ids ascend by packed value within the batch — the
-            # determinism contract of the unique+intern pipeline — so only
-            # the distinct *new* keys are sorted, never the whole batch.
-            order = np.lexsort(
-                tuple(new_keys[:, j] for j in range(self._words - 1, -1, -1))
-            )
-            sorted_rows = new_rows[order]
-            new_ids = base + np.arange(sorted_rows.size, dtype=np.int64)
-            states[new_ids] = keys[sorted_rows]
-            slots[claim_pos[sorted_rows]] = new_ids
-            self._size = base + int(sorted_rows.size)
-            final_of_row = np.empty(m, dtype=np.int64)
-            final_of_row[sorted_rows] = new_ids
-            ids[new_rows] = final_of_row[new_rows]
-            markers = ids < -1
-            if markers.any():
-                ids[markers] = final_of_row[-(ids[markers]) - 2]
-            new_rows = sorted_rows
+        ids, new_rows = self._insert(keys, by_value=True)
+        first_mask = np.zeros(ids.shape[0], dtype=bool)
+        first_mask[new_rows] = True
         return ids, first_mask, new_rows
 
 
@@ -909,7 +747,7 @@ class CompiledStateGraph:
         """Compile the expansion of the next unexpanded BFS level.
 
         The frontier never leaves word form: the id range's rows of the
-        interner's key store feed the vectorized expansion kernel
+        interner's key store feed the native expansion kernel
         (:meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier`)
         directly; packed Python ints are materialized only for an error
         witness.

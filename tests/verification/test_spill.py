@@ -27,7 +27,7 @@ from repro.scheduler.packed import (
 from repro.scheduler.slot_system import SlotSystemConfig
 from repro.switching.profile import SwitchingProfile
 from repro.verification import verify_slot_sharing
-from repro.verification.kernel import CompiledStateGraph
+from repro.verification.kernel import CompiledStateGraph, PackedStateTable
 from repro.verification.spill import (
     STATE_BUDGET_ENV_VAR,
     SpillStore,
@@ -113,6 +113,26 @@ class TestSpillStore:
 
 
 class TestSpilledExploration:
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_spilled_table_interns_like_an_in_ram_table(self, monkeypatch, words):
+        """The native probe loops run on memmapped slot and key arrays."""
+        monkeypatch.setenv(STATE_BUDGET_ENV_VAR, "1")
+        store = SpillStore()
+        spilled = PackedStateTable(words, initial_capacity=8, store=store)
+        in_ram = PackedStateTable(words, initial_capacity=8)
+        assert isinstance(spilled._slots, np.memmap)
+        rng = np.random.default_rng(words)
+        pool = rng.integers(0, 2**63, size=(3000, words)).astype(np.uint64)
+        for _ in range(6):  # duplicate-laden batches that force rehashes
+            batch = pool[rng.integers(0, pool.shape[0], size=1500)]
+            for got, want in zip(spilled.intern_dedup(batch), in_ram.intern_dedup(batch)):
+                assert (got == want).all()
+        assert isinstance(spilled._slots, np.memmap)
+        assert isinstance(spilled._states, np.memmap)
+        assert (spilled.state_words == in_ram.state_words).all()
+        assert (spilled.lookup(pool) == in_ram.lookup(pool)).all()
+        store.close()
+
     def test_spilled_graph_matches_unconstrained(self, monkeypatch):
         profiles = _synthetic_profiles()
         config = SlotSystemConfig.from_profiles(
@@ -190,7 +210,7 @@ def test_large_instance_completes_under_rss_cap(tmp_path):
             prof("C", 48, 80, 14, 4, 9),
             prof("D", 52, 90, 16, 5, 10),
         ]
-        from repro.verification.kernel import CompiledStateGraph
+        from repro.verification.kernel import CompiledStateGraph, PackedStateTable
 
         config = SlotSystemConfig.from_profiles(profiles)
         graph = CompiledStateGraph(PackedSlotSystem(config))
