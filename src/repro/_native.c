@@ -12,8 +12,9 @@ enum { CFG_APPS, CFG_WORDS, CFG_OCC_SHIFT, CFG_OCC_BITS, CFG_BUF_SHIFT,
        CFG_EV_RECOVERED, CFG_EV_ADMITTED, CFG_EV_GRANTED, CFG_EV_PREEMPTED,
        CFG_EV_RELEASED, CFG_APP0 };
 /* Per application in `ptrs`: block table, dense block -> row array (0 for
- * wide block fields), else the sorted known blocks, their rows and count. */
-enum { PTR_TABLE, PTR_DENSE, PTR_KEYS, PTR_ROWS, PTR_COUNT, PTR_FIELDS };
+ * wide block fields), else the known (block, row) pairs sorted by block and
+ * their count. */
+enum { PTR_TABLE, PTR_DENSE, PTR_PAIRS, PTR_COUNT, PTR_FIELDS };
 /* A table row holds five word-wide XOR deltas (adv, post, arr, arrg, bufg),
  * then these scalars. */
 enum { COL_PRIO, COL_ELIG, COL_RECOV, COL_MISS, COL_RELEASE, COL_PREEMPT,
@@ -48,17 +49,17 @@ static inline int64_t block_row(const uint64_t *ptrs, int64_t i, uint64_t block)
 {
     if (APP(i, PTR_DENSE))
         return AS(const int32_t *, APP(i, PTR_DENSE))[block];
-    const uint64_t *keys = AS(const uint64_t *, APP(i, PTR_KEYS));
+    const uint64_t *pairs = AS(const uint64_t *, APP(i, PTR_PAIRS));
     int64_t lo = 0, hi = (int64_t)APP(i, PTR_COUNT);
     while (lo < hi) {
         int64_t mid = lo + (hi - lo) / 2;
-        if (keys[mid] < block)
+        if (pairs[2 * mid] < block)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return lo < (int64_t)APP(i, PTR_COUNT) && keys[lo] == block
-        ? AS(const int32_t *, APP(i, PTR_ROWS))[lo] : -1;
+    return lo < (int64_t)APP(i, PTR_COUNT) && pairs[2 * lo] == block
+        ? (int64_t)pairs[2 * lo + 1] : -1;
 }
 
 /* Map every (state, application) block of the frontier to its table row

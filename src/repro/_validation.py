@@ -78,6 +78,11 @@ def as_column(value: ArrayLike, name: str = "vector") -> np.ndarray:
     return array
 
 
+def as_row(value: ArrayLike, name: str = "vector") -> np.ndarray:
+    """Return ``value`` as a 2-D row vector (1 x n)."""
+    return as_column(value, name=name).T
+
+
 def require_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check that ``matrix`` is square and return it unchanged."""
     if matrix.shape[0] != matrix.shape[1]:
@@ -91,6 +96,19 @@ def require_positive(value: float, name: str = "value") -> float:
     if not value > 0:
         raise DimensionError(f"{name} must be strictly positive, got {value}")
     return value
+
+
+def require_non_negative_int(value: int, name: str = "value") -> int:
+    """Check that a scalar is a non-negative integer and return it as ``int``."""
+    ivalue = int(value)
+    if ivalue != value or ivalue < 0:
+        raise DimensionError(f"{name} must be a non-negative integer, got {value!r}")
+    return ivalue
+
+
+def is_symmetric(matrix: np.ndarray, tol: float = 1e-9) -> bool:
+    """Return True when ``matrix`` is symmetric within ``tol``."""
+    return bool(np.allclose(matrix, matrix.T, atol=tol))
 
 
 def is_positive_definite(matrix: np.ndarray, tol: float = 1e-12) -> bool:

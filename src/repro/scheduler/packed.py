@@ -990,9 +990,9 @@ class _FrontierExpander:
             np.full(1 << bits, -1, dtype=np.int32) if bits <= 20 else None
             for bits in block_bits
         ]
-        self._sorted: List[Optional[tuple]] = [None] * n
-        # Per application: table, dense, sorted keys, sorted rows, count.
-        self._ptrs = np.zeros((n, 5), dtype=np.uint64)
+        self._sorted: List[Optional[np.ndarray]] = [None] * n
+        # Per application: table, dense, sorted (block, row) pairs, count.
+        self._ptrs = np.zeros((n, 4), dtype=np.uint64)
         for index in range(n):
             self._publish(index)
 
@@ -1004,11 +1004,9 @@ class _FrontierExpander:
         if self._dense[index] is not None:
             ptrs[1] = self._dense[index].ctypes.data
             return
-        known = self._row_of[index]
-        keys = np.array(sorted(known), dtype=np.uint64)
-        rows = np.array([known[key] for key in keys.tolist()], dtype=np.int32)
-        self._sorted[index] = (keys, rows)
-        ptrs[2], ptrs[3], ptrs[4] = keys.ctypes.data, rows.ctypes.data, keys.size
+        pairs = np.array(sorted(self._row_of[index].items()), dtype=np.uint64)
+        self._sorted[index] = pairs = pairs.reshape(-1, 2)
+        ptrs[2], ptrs[3] = pairs.ctypes.data, pairs.shape[0]
 
     def _add_block(self, index: int, block: int) -> None:
         """Intern one block value: compute its table row from the block info."""

@@ -247,9 +247,8 @@ class PackedStateTable:
         """Native probe loop over a key batch; ``(ids, claimed, slot_of)``
         as ``nk_probe`` fills them (see ``_native.c``)."""
         m = keys.shape[0]
-        hashes = np.ascontiguousarray(self._hash_words(keys), dtype=np.uint64)
-        if hashes.shape != (m,):  # the C loop reads one hash per key
-            raise ValueError(f"_hash_words gave shape {hashes.shape} for {m} keys")
+        # reshape raises unless there is one hash per key, as the C loop reads.
+        hashes = np.ascontiguousarray(self._hash_words(keys), dtype=np.uint64).reshape(m)
         ids = np.empty(m, dtype=np.int64)
         claimed, slot_of = np.empty((2, m if claim else 0), dtype=np.int64)
         claims = _native.load().nk_probe(

@@ -150,6 +150,11 @@ class SpillStore:
         """Whether any allocation of this store landed in a memmap."""
         return bool(self._paths)
 
+    @property
+    def spill_bytes(self) -> int:
+        """Bytes currently living in this store's memmap files."""
+        return sum(array.nbytes for array in self._mmaps)
+
     # ------------------------------------------------------------ allocation
     def _spill_path(self) -> str:
         if self._dir is None:

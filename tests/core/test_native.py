@@ -1,7 +1,8 @@
 """The native kernel loader (:mod:`repro._native`): the C source compiles
-once per content into a cached library, falls back to the temp dir when the
-cache directory cannot be written, survives racing first builds and names
-``cc`` when no compiler is available.  Nothing is built at import."""
+once per content into a cached library, falls back to a per-user temp dir
+only when the cache directory cannot be written, loads no library another
+user could have planted, survives racing first builds and names ``cc`` when
+no compiler is available.  Nothing is built at import."""
 
 from __future__ import annotations
 
@@ -66,12 +67,64 @@ def test_changed_source_gets_a_new_cache_name(source, tmp_path):
     assert os.path.exists(first) and os.path.exists(second)
 
 
-def test_unwritable_cache_dir_falls_back_to_the_temp_dir(source, tmp_path):
+def _private_temp_dir() -> str:
+    return os.path.join(tempfile.gettempdir(), f"repro-native-{os.getuid()}")
+
+
+def test_unwritable_cache_dir_falls_back_to_a_private_temp_dir(source, tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("a file where the cache directory would go")
     path = _native.build(str(source), str(blocker / "__pycache__"))
-    assert os.path.dirname(path) == tempfile.gettempdir()
+    assert os.path.dirname(path) == _private_temp_dir()
+    assert os.stat(_private_temp_dir()).st_mode & 0o777 == 0o700
     assert _rehash_works(path)
+
+
+def test_a_library_planted_in_the_temp_dir_is_ignored(source, tmp_path):
+    name = _native.library_name(source.read_bytes())
+    os.makedirs(_private_temp_dir(), mode=0o700)
+    for directory in (tempfile.gettempdir(), _private_temp_dir()):
+        with open(os.path.join(directory, name), "w") as handle:
+            handle.write("not a library")
+    path = _native.build(str(source), str(tmp_path / "cache"))
+    assert os.path.dirname(path) == str(tmp_path / "cache")
+    assert _rehash_works(path)
+
+
+def test_a_cached_library_others_may_write_is_rebuilt(source, tmp_path):
+    cache = tmp_path / "cache"
+    path = _native.build(str(source), str(cache))
+    with open(path, "w") as handle:
+        handle.write("not a library")
+    os.chmod(path, 0o666)
+    assert _native.build(str(source), str(cache)) == path
+    assert os.stat(path).st_mode & 0o777 == 0o755
+    assert _rehash_works(path)
+
+
+@pytest.mark.skipif(os.getuid() != 0, reason="giving a file away needs root")
+def test_a_cached_library_of_another_user_is_rebuilt(source, tmp_path):
+    cache = tmp_path / "cache"
+    path = _native.build(str(source), str(cache))
+    os.chown(path, 4242, -1)
+    assert _native.build(str(source), str(cache)) == path
+    assert os.stat(path).st_uid == 0
+    assert _rehash_works(path)
+
+
+def test_a_shared_temp_fallback_dir_is_refused(source, tmp_path):
+    os.makedirs(_private_temp_dir())
+    os.chmod(_private_temp_dir(), 0o777)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("a file where the cache directory would go")
+    with pytest.raises(_native.NativeBuildError, match="private"):
+        _native.build(str(source), str(blocker / "__pycache__"))
+
+
+def test_the_cache_name_depends_on_the_machine(monkeypatch):
+    here = _native.library_name(b"int x;")
+    monkeypatch.setattr(_native.platform, "machine", lambda: "some-other-arch")
+    assert _native.library_name(b"int x;") != here
 
 
 def test_racing_first_builds_both_load_a_complete_library(source, tmp_path):

@@ -210,7 +210,7 @@ def test_large_instance_completes_under_rss_cap(tmp_path):
             prof("C", 48, 80, 14, 4, 9),
             prof("D", 52, 90, 16, 5, 10),
         ]
-        from repro.verification.kernel import CompiledStateGraph, PackedStateTable
+        from repro.verification.kernel import CompiledStateGraph
 
         config = SlotSystemConfig.from_profiles(profiles)
         graph = CompiledStateGraph(PackedSlotSystem(config))
