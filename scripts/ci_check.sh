@@ -21,7 +21,8 @@
 #   BENCH_REPORT     optional path for bench_compare's --json-out summary
 #                    (uploaded as a CI artifact).
 #   SKIP_TESTS=1     only run lint + the benchmark gate (e.g. after a
-#                    test-only CI stage already ran the suite).
+#                    test-only CI stage already ran the suite and the
+#                    sanitizer run of the native loops).
 #   SKIP_LINT=1      skip the static checks (ruff + compileall + a
 #                    warnings-as-errors compile of src/repro/_native.c).
 #
@@ -58,6 +59,8 @@ fi
 if [[ "${SKIP_TESTS:-0}" != "1" ]]; then
     echo "== tier-1 tests =="
     python -m pytest tests -x -q
+    echo "== native loops under AddressSanitizer and UBSan =="
+    python scripts/sanitize_native.py
 fi
 
 echo "== benchmarks =="

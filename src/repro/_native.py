@@ -1,16 +1,19 @@
 """Build and load the native kernel loops of ``_native.c``.
 
-The frontier expansion of :class:`~repro.scheduler.packed.PackedSlotSystem`
-and the probe loops of :class:`~repro.verification.kernel.PackedStateTable`
-are one C source, compiled with the system C compiler ``cc`` when a kernel
-first needs it (never at import) and loaded through :mod:`ctypes`.  The
-library is cached as ``__pycache__/_native-<sha256>.so`` next to the source
-(the digest covers the source, the flags and the platform), or in the
-per-user directory ``repro-native-<uid>`` of the system temp dir when
+The level compiler of :class:`~repro.verification.kernel.CompiledStateGraph`
+(``nk_level``), the frontier expansion of
+:class:`~repro.scheduler.packed.PackedSlotSystem` and the hash and probe
+loops of :class:`~repro.verification.kernel.PackedStateTable` are one C
+source, compiled with the system C compiler ``cc`` when a kernel first
+needs it (never at import) and loaded through :mod:`ctypes`.  The library
+is cached as ``__pycache__/_native-<sha256>.so`` next to the source (the
+digest covers the source, the flags and the platform), or in the per-user
+directory ``repro-native-<uid>`` of the system temp dir when
 ``__pycache__`` is not writable.  A cached library is loaded only when this
 user or root owns it and no one else may write it, so no other local user
 can plant one.  The compiler writes a temporary file that is renamed into
-place, so processes racing on the first build never load a partial one.
+place, so processes racing on the first build never load a partial one; a
+successful build then removes this user's older builds from the directory.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import re
 import shutil
 import stat
 import subprocess
@@ -32,13 +36,16 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 # Result type, then argument types: p pointer, i int64, u uint64, - void.
 _SIGNATURES = {
-    "nk_block_rows": "i pipppppi",
+    "nk_block_rows": "i pipppppip",
     "nk_expand": "- pipppppp",
-    "nk_probe": "i pupppiiippp",
-    "nk_commit": "- pppipppiipi",
+    "nk_hash": "- piip",
+    "nk_probe": "i pupppiiipppp",
+    "nk_commit": "i pppippiiipi",
     "nk_rehash": "- pupi",
+    "nk_level": "i pipppppupiiippppp",
 }
 _TYPES = {"p": ctypes.c_void_p, "i": ctypes.c_int64, "u": ctypes.c_uint64, "-": None}
+_BUILD_NAME = re.compile(r"_native-[0-9a-f]{16}\.so")
 _library: Optional[ctypes.CDLL] = None
 
 
@@ -65,6 +72,22 @@ def _trusted(path: str) -> bool:
         and info.st_uid in (os.getuid(), 0)
         and not info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
     )
+
+
+def _prune(directory: str, keep: str) -> None:
+    """Remove this user's other builds from ``directory``: every edit of the
+    source leaves the previous library behind under another digest."""
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        try:
+            if (
+                name != keep
+                and _BUILD_NAME.fullmatch(name)
+                and os.lstat(path).st_uid == os.getuid()
+            ):
+                os.unlink(path)
+        except OSError:
+            pass  # raced with another process's prune, or not ours to remove
 
 
 def _private_temp_dir() -> str:
@@ -106,6 +129,7 @@ def _build_in(directory: str, name: str, source_path: str) -> Optional[str]:
             raise NativeBuildError(f"`cc` failed on {source_path}:\n{done.stderr}")
         os.chmod(temporary, 0o755)  # mkstemp made it private to this user
         os.replace(temporary, path)
+        _prune(directory, name)
         return path
     finally:
         if os.path.exists(temporary):
@@ -127,11 +151,13 @@ def build(source_path: str = SOURCE, cache_dir: Optional[str] = None) -> str:
     return path
 
 
-def load() -> ctypes.CDLL:
-    """The native library, built and loaded on the first call."""
+def load(path: Optional[str] = None) -> ctypes.CDLL:
+    """The native library, built and loaded on the first call; ``path``
+    loads that build instead (an instrumented one, say) for the rest of
+    the process."""
     global _library
-    if _library is None:
-        library = ctypes.CDLL(build())
+    if _library is None or path is not None:
+        library = ctypes.CDLL(path or build())
         for name, signature in _SIGNATURES.items():
             function = getattr(library, name)
             function.restype = _TYPES[signature[0]]

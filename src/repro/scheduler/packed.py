@@ -476,8 +476,9 @@ class PackedSlotSystem:
 
         The block-table expansion kernel (:class:`_FrontierExpander`): one
         C loop over per-application XOR-delta block tables, no Python work
-        per state — the cold-exploration workhorse of the vectorized /
-        compiled-kernel / sharded engines.
+        per state — the cold-exploration workhorse of the vectorized and
+        sharded engines.  The compiled kernel runs the same C loop inside
+        its fused level call (``nk_level``) instead.
 
         Args:
             word_matrix: ``(count, packed_words)`` ``uint64`` array of
@@ -921,12 +922,14 @@ class PackedSlotSystem:
 class _FrontierExpander:
     """Block-table expansion kernel of one packed system.
 
-    Backs :meth:`PackedSlotSystem.expand_frontier`.  The per-application
-    block tables (:meth:`PackedSlotSystem._block_info` — clock-advanced
-    block, XOR deltas per role, grant priority, flags) live in one
-    ``uint64`` array per application, one row per known block value, and
-    the native loop ``nk_expand`` (:mod:`repro._native`) walks them for a
-    whole frontier, mirroring :meth:`PackedSlotSystem._expand` exactly.
+    Backs :meth:`PackedSlotSystem.expand_frontier` and the fused level of
+    :class:`~repro.verification.kernel.CompiledStateGraph`.  The
+    per-application block tables (:meth:`PackedSlotSystem._block_info` —
+    clock-advanced block, XOR deltas per role, grant priority, flags) live
+    in one ``uint64`` array per application, one row per known block value,
+    and the native expansion loop (:mod:`repro._native`; ``nk_expand``, or
+    ``nk_level`` in the compiled kernel) walks them for a whole frontier,
+    mirroring :meth:`PackedSlotSystem._expand` exactly.
     Two reductions keep it one pass per state:
 
     * the successor's *buffer order* is never materialized (the packed
@@ -938,10 +941,10 @@ class _FrontierExpander:
       are steady (miss bit 0), so the miss mask is the OR of the *buffer*
       members' miss bits however the grant falls.
 
-    Block semantics stay in Python: ``nk_block_rows`` maps the frontier's
-    blocks to table rows and reports the unseen ones, which
-    :meth:`_add_block` derives from ``_block_info`` before the pass runs
-    again.  Only encodings whose event bit field and priority key fit one
+    Block semantics stay in Python: ``nk_block_rows`` (:meth:`block_rows`)
+    maps the frontier's blocks to table rows and reports the unseen ones,
+    which :meth:`_add_block` derives from ``_block_info`` before the pass
+    runs again.  Only encodings whose event bit field and priority key fit one
     word are supported (:attr:`ok`); callers fall back to per-state
     ``successors()`` otherwise.
     """
@@ -993,6 +996,9 @@ class _FrontierExpander:
         self._sorted: List[Optional[np.ndarray]] = [None] * n
         # Per application: table, dense, sorted (block, row) pairs, count.
         self._ptrs = np.zeros((n, 4), dtype=np.uint64)
+        #: Addresses of the ``cfg`` and pointer arrays the native loops read
+        #: (``_publish`` rewrites the pointers in place).
+        self.tables = (self._cfg.ctypes.data, self._ptrs.ctypes.data)
         for index in range(n):
             self._publish(index)
 
@@ -1036,18 +1042,26 @@ class _FrontierExpander:
         if self._dense[index] is not None:
             self._dense[index][block] = row
 
-    def expand(self, matrix):
-        """Expand every state of a word-row frontier (see ``expand_frontier``)."""
+    def block_rows(self, matrix):
+        """Table rows of every (state, application) block of a word-row
+        frontier, adding the unseen blocks first.
+
+        Returns ``(total, rows, eligible, missed)``: the frontier's
+        transition count, the ``(count, n)`` ``int32`` table rows and each
+        state's eligible mask, as ``nk_expand`` and ``nk_level`` read them,
+        and whether a state misses a deadline (then every transition of
+        that state reports the miss).
+        """
         np = self._np
         library = _native.load()
         count = matrix.shape[0]
         rows = np.empty((count, self.n), dtype=np.int32)
         eligible = np.empty(count, dtype=np.uint64)
         missing = np.empty((count * self.n, 2), dtype=np.uint64)
-        head = (matrix.ctypes.data, count, self._cfg.ctypes.data,
-                self._ptrs.ctypes.data, rows.ctypes.data)
-        tail = (eligible.ctypes.data, missing.ctypes.data)
-        total = library.nk_block_rows(*head, *tail, 0)
+        missed = np.zeros(1, dtype=np.uint64)
+        args = (matrix.ctypes.data, count, *self.tables, rows.ctypes.data,
+                eligible.ctypes.data, missing.ctypes.data)
+        total = library.nk_block_rows(*args, 0, missed.ctypes.data)
         while total < 0:
             added = set()
             for index, block in missing[:-total].tolist():
@@ -1056,11 +1070,20 @@ class _FrontierExpander:
                     added.add(index)
             for index in added:
                 self._publish(index)
-            total = library.nk_block_rows(*head, *tail, 1)
+            total = library.nk_block_rows(*args, 1, missed.ctypes.data)
+        return total, rows, eligible, bool(missed[0])
+
+    def expand(self, matrix):
+        """Expand every state of a word-row frontier (see ``expand_frontier``)."""
+        np = self._np
+        total, rows, _, _ = self.block_rows(matrix)
         succ = np.empty((total, self.words), dtype=np.uint64)
         events = np.empty(total, dtype=np.uint64)
         origin = np.empty(total, dtype=np.int64)
-        library.nk_expand(*head, succ.ctypes.data, events.ctypes.data, origin.ctypes.data)
+        _native.load().nk_expand(
+            matrix.ctypes.data, matrix.shape[0], *self.tables, rows.ctypes.data,
+            succ.ctypes.data, events.ctypes.data, origin.ctypes.data,
+        )
         return succ, events, origin
 
 

@@ -94,32 +94,19 @@ GRAPH_FORMAT_VERSION = 2
 #: masks, bounded by the application count, so the all-ones word is free.
 NO_PARENT_LABEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-_SPLIT_C1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLIT_C2 = np.uint64(0x94D049BB133111EB)
-_FNV_PRIME = np.uint64(0x100000001B3)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
 def hash_words(word_matrix: np.ndarray) -> np.ndarray:
     """One mixed ``uint64`` hash per multi-word state row.
 
-    A splitmix64 finalizer per word folded FNV-style across the columns:
-    cheap, vectorized and well-distributed — the probe hash of
-    :class:`PackedStateTable` and the shard router of the sharded engine
-    (coordinator and workers must agree, so both call this).
+    A splitmix64 finalizer per word folded FNV-style across the columns
+    (``nk_hash`` of :mod:`repro._native`): the probe hash of
+    :class:`PackedStateTable`, which ``nk_level`` computes in place, and
+    the shard router of the sharded engine (coordinator and workers must
+    agree, so both call this).
     """
-    rows = word_matrix.shape[0]
-    h = np.full(rows, _GOLDEN, dtype=np.uint64)
-    for j in range(word_matrix.shape[1]):
-        column = word_matrix[:, j]
-        x = column >> np.uint64(30)
-        x ^= column
-        x *= _SPLIT_C1
-        x ^= x >> np.uint64(27)
-        x *= _SPLIT_C2
-        x ^= x >> np.uint64(31)
-        h = (h ^ x) * _FNV_PRIME
-    return h
+    keys = np.ascontiguousarray(word_matrix, dtype=np.uint64)
+    hashes = np.empty(keys.shape[0], dtype=np.uint64)
+    _native.load().nk_hash(keys.ctypes.data, keys.shape[0], keys.shape[1], hashes.ctypes.data)
+    return hashes
 
 
 def _void_dtype(words: int) -> np.dtype:
@@ -173,8 +160,13 @@ class PackedStateTable:
 
     ``intern`` requires the batch itself to be duplicate-free;
     :meth:`intern_dedup` accepts arbitrary duplicate-laden batches and
-    dedupes them *inside* the probe loop — the engines' per-level set
-    operation.  ``lookup`` and ``contains`` accept anything.
+    dedupes them *inside* the probe loop — the per-level set operation of
+    the sharded, vectorized and sequential engines.  ``lookup`` and
+    ``contains`` accept anything.  :class:`CompiledStateGraph` does not
+    call them per level: its ``nk_level`` call probes, claims and numbers
+    a level's successors in this table's arrays itself, with
+    :func:`hash_words`, so a table whose :meth:`_hash_words` is overridden
+    serves the batch API only.
 
     Args:
         words: ``uint64`` words per state row.
@@ -244,19 +236,20 @@ class PackedStateTable:
         return hash_words(keys)
 
     def _probe(self, keys: np.ndarray, claim: bool):
-        """Native probe loop over a key batch; ``(ids, claimed, slot_of)``
-        as ``nk_probe`` fills them (see ``_native.c``)."""
+        """Native probe loop over a key batch; ``(ids, claimed, slot_of,
+        pending)`` as ``nk_probe`` fills them (see ``_native.c``)."""
         m = keys.shape[0]
         # reshape raises unless there is one hash per key, as the C loop reads.
         hashes = np.ascontiguousarray(self._hash_words(keys), dtype=np.uint64).reshape(m)
         ids = np.empty(m, dtype=np.int64)
         claimed, slot_of = np.empty((2, m if claim else 0), dtype=np.int64)
+        pending = np.empty((m if claim else 0, self._words), dtype=np.uint64)
         claims = _native.load().nk_probe(
             self._slots.ctypes.data, self._capacity - 1, self._states.ctypes.data,
             keys.ctypes.data, hashes.ctypes.data, m, self._words, int(claim),
-            ids.ctypes.data, claimed.ctypes.data, slot_of.ctypes.data,
+            ids.ctypes.data, pending.ctypes.data, claimed.ctypes.data, slot_of.ctypes.data,
         )
-        return ids, claimed[:claims], slot_of
+        return ids, claimed[:claims], slot_of, pending
 
     def _reserve(self, incoming: int) -> None:
         """Grow key store / rehash slots so ``incoming`` inserts stay < 0.6 load."""
@@ -313,19 +306,15 @@ class PackedStateTable:
         # Worst case every row is a distinct new key: reserving up front
         # keeps the load factor bounded while this batch claims slots.
         self._reserve(keys.shape[0])
-        ids, claimed, slot_of = self._probe(keys, claim=True)
-        order = None
-        if by_value and claimed.size > 1:
-            new_keys = keys[claimed]
-            order = np.lexsort(new_keys.T[::-1]) if self._words > 1 else new_keys[:, 0].argsort()
-        _native.load().nk_commit(
-            self._slots.ctypes.data, self._states.ctypes.data, keys.ctypes.data,
-            self._words, claimed.ctypes.data, slot_of.ctypes.data,
-            None if order is None else order.ctypes.data, claimed.size, self._size,
-            ids.ctypes.data, keys.shape[0],
-        )
+        ids, claimed, slot_of, pending = self._probe(keys, claim=True)
+        if _native.load().nk_commit(
+            self._slots.ctypes.data, self._states.ctypes.data, pending.ctypes.data,
+            self._words, claimed.ctypes.data, slot_of.ctypes.data, claimed.size,
+            self._size, int(by_value), ids.ctypes.data, keys.shape[0],
+        ):
+            raise MemoryError("no memory to number the new states")
         self._size += int(claimed.size)
-        return ids, claimed if order is None else claimed[order]
+        return ids, claimed
 
     # ------------------------------------------------------------ operations
     def lookup(self, keys: np.ndarray) -> np.ndarray:
@@ -411,8 +400,10 @@ class _GrowableRows:
         )
         self._len = 0
 
-    def extend(self, rows: np.ndarray) -> None:
-        needed = self._len + len(rows)
+    def reserve(self, extra: int) -> int:
+        """Make room for ``extra`` more rows; the address of the first, for
+        a native loop to fill before :meth:`advance`."""
+        needed = self._len + extra
         if needed > self._data.shape[0]:
             capacity = self._data.shape[0]
             while capacity < needed:
@@ -426,8 +417,16 @@ class _GrowableRows:
                 grown = np.zeros(shape, self._data.dtype)
                 grown[: self._len] = self._data[: self._len]
             self._data = grown
-        self._data[self._len : needed] = rows
-        self._len = needed
+        return self._data.ctypes.data + self._len * self._data.strides[0]
+
+    def advance(self, count: int) -> None:
+        """Take ``count`` rows filled in place after :meth:`reserve`."""
+        self._len += count
+
+    def extend(self, rows: np.ndarray) -> None:
+        self.reserve(len(rows))
+        self._data[self._len : self._len + len(rows)] = rows
+        self._len += len(rows)
 
     def __len__(self) -> int:
         return self._len
@@ -593,14 +592,15 @@ def checkpoint_policy_from_env(sink) -> Optional["CheckpointPolicy"]:
 class CompiledStateGraph:
     """Incrementally compiled CSR state graph of one packed slot system.
 
-    Compilation happens lazily *during* the first exploration: every
-    discovered packed state is interned into a dense ``int32`` id
-    (:class:`PackedStateTable`), and each BFS level appends its transition
-    rows to CSR arrays — ``indptr[id] : indptr[id + 1]`` delimits the
-    successor rows of state ``id``, ``successor_ids`` / ``labels`` hold the
-    target ids and arrival masks.  The BFS tree (``parent_ids`` /
-    ``parent_labels``, row ``id - 1``) and the level boundaries
-    (``level_ptr``) are compiled alongside.
+    Compilation happens lazily *during* the first exploration, one native
+    ``nk_level`` call per BFS level: every discovered packed state is
+    interned into a dense ``int32`` id (:class:`PackedStateTable`), and
+    each level appends its transition rows to CSR arrays —
+    ``indptr[id] : indptr[id + 1]`` delimits the successor rows of state
+    ``id``, ``successor_ids`` / ``labels`` hold the target ids and arrival
+    masks.  The BFS tree (``parent_ids`` / ``parent_labels``, row
+    ``id - 1``) and the level boundaries (``level_ptr``) are compiled
+    alongside.
 
     Ids are assigned in BFS discovery order, ascending by packed value
     within a level, so a level is an id *range* and a deterministic
@@ -745,20 +745,79 @@ class CompiledStateGraph:
     def _expand_next_level(self) -> None:
         """Compile the expansion of the next unexpanded BFS level.
 
-        The frontier never leaves word form: the id range's rows of the
-        interner's key store feed the native expansion kernel
-        (:meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier`)
-        directly; packed Python ints are materialized only for an error
-        witness.
+        The frontier never leaves word form: the level's id range of the
+        interner's key store goes to :meth:`_expand_fused`, one native call
+        that appends the whole level.  A level whose frontier misses a
+        deadline, and a configuration too wide for the native expansion,
+        take :meth:`_expand_composed` instead.
         """
         k = self.expanded_levels
         self.expansion_count += 1
         first, last = self.level_ptr[k], self.level_ptr[k + 1]
+        self.expanded_levels = k + 1
+        new = -1
+        if self.system.can_expand_frontier:
+            new = self._expand_fused(self.system._frontier_expander(), first, last)
+        if new < 0:
+            new = self._expand_composed(k, first, last)
+            if new is None:
+                return
+        if new == 0:
+            self.complete = True
+            return
+        self.level_ptr.append(self.table.size)
+        if self.store is not None and self.store.spilled:
+            # Keep the RSS near the configured budget: drop the spilled
+            # mappings' resident pages once per compiled level.
+            self.store.relax()
+
+    def _expand_fused(self, expander, first: int, last: int) -> int:
+        """Compile a level with one ``nk_level`` call; the new state count,
+        or -1, with nothing changed, when a frontier state misses a deadline.
+
+        Python adds the block-table rows the frontier needs
+        (:meth:`~repro.scheduler.packed._FrontierExpander.block_rows`) and
+        reserves room for every transition being a new state, the bound of
+        :meth:`PackedStateTable._reserve`.  The C loop then expands, hashes
+        and probes each transition in ``successors()`` order, numbers the
+        new states by packed value and writes ``indptr``, the successor ids,
+        labels and parents at the arrays' ends.
+        """
+        table = self.table
+        total, rows, eligible, missed = expander.block_rows(table.state_words[first:last])
+        if missed:
+            return -1
+        table._reserve(total)
+        frontier = table.state_words[first:last]  # the reserve may move the key store
+        count = last - first
+        new = _native.load().nk_level(
+            frontier.ctypes.data, count, *expander.tables, rows.ctypes.data,
+            eligible.ctypes.data, table._slots.ctypes.data, table._capacity - 1,
+            table._states.ctypes.data, table._size, first, len(self._succ_ids),
+            self._indptr.reserve(count), self._succ_ids.reserve(total),
+            self._labels.reserve(total), self._parent_ids.reserve(total),
+            self._parent_labels.reserve(total),
+        )
+        if new < 0:
+            raise MemoryError("no memory to compile a BFS level")
+        table._size += new
+        self._indptr.advance(count)
+        self._succ_ids.advance(total)
+        self._labels.advance(total)
+        self._parent_ids.advance(new)
+        self._parent_labels.advance(new)
+        return new
+
+    def _expand_composed(self, k: int, first: int, last: int) -> Optional[int]:
+        """Compile a level through the batch APIs (``expand_frontier`` or
+        per-state ``successors()``, then :meth:`PackedStateTable.intern_dedup`);
+        the new state count, or ``None`` when it records the level's error
+        witness.  Packed Python ints are materialized only for a witness.
+        """
         frontier_words = self.table.state_words[first:last]
         indptr, succ_words, masks, miss, origin = (
             self.system.successor_tables_words_origin(frontier_words)
         )
-        self.expanded_levels = k + 1
         if miss.any():
             frontier = self.states_as_ints(first, last)
             rows = np.flatnonzero(miss)
@@ -771,31 +830,16 @@ class CompiledStateGraph:
             # engines: the minimal (parent, mask) pair of the level.
             self.error = min(candidates, key=lambda entry: (entry[0], entry[1]))
             self.error_level = k
-            return
-        if succ_words.shape[0] == 0:  # pragma: no cover - states always expand
-            self.complete = True
-            return
-        # Fused dedupe–intern: the duplicate-laden successor multiset goes
-        # straight into the hash table; ids come back per transition row
-        # (no np.unique staging, no void-view sort).
+            return None
         ids, _, firsts = self.table.intern_dedup(succ_words)
-        base = len(self._succ_ids)
-        self._indptr.extend(indptr[1:] + base)
+        self._indptr.extend(indptr[1:] + len(self._succ_ids))
         self._succ_ids.extend(ids)
         self._labels.extend(masks)
-        if firsts.size == 0:
-            self.complete = True
-            return
         # Parent records live at row id-1; firsts already come ordered by
         # the (value-ascending) new ids.
-        parent_rows = origin[firsts]
-        self._parent_ids.extend(first + parent_rows)
+        self._parent_ids.extend(first + origin[firsts])
         self._parent_labels.extend(masks[firsts])
-        self.level_ptr.append(self.table.size)
-        if self.store is not None and self.store.spilled:
-            # Keep the RSS near the configured budget: drop the spilled
-            # mappings' resident pages once per compiled level.
-            self.store.relax()
+        return int(firsts.size)
 
     # --------------------------------------------------------- checkpointing
     def set_checkpoint_policy(self, policy: Optional[CheckpointPolicy]) -> None:

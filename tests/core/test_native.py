@@ -1,13 +1,15 @@
 """The native kernel loader (:mod:`repro._native`): the C source compiles
 once per content into a cached library, falls back to a per-user temp dir
 only when the cache directory cannot be written, loads no library another
-user could have planted, survives racing first builds and names ``cc`` when
-no compiler is available.  Nothing is built at import."""
+user could have planted, survives racing first builds, prunes this user's
+older builds and names ``cc`` when no compiler is available.  Nothing is
+built at import, and the ctypes signatures match the C definitions."""
 
 from __future__ import annotations
 
 import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -64,7 +66,7 @@ def test_changed_source_gets_a_new_cache_name(source, tmp_path):
     source.write_text(source.read_text() + "\n/* edited */\n")
     second = _native.build(str(source), str(cache))
     assert second != first
-    assert os.path.exists(first) and os.path.exists(second)
+    assert os.path.exists(second) and not os.path.exists(first)  # pruned
 
 
 def _private_temp_dir() -> str:
@@ -155,3 +157,57 @@ def test_importing_the_library_builds_nothing():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_a_build_prunes_this_users_older_builds(source, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    older = cache / "_native-0123456789abcdef.so"
+    older.write_text("an older build")
+    unrelated = cache / "_native-notes.so"
+    unrelated.write_text("not a build of ours")
+    path = _native.build(str(source), str(cache))
+    assert sorted(os.listdir(cache)) == sorted([os.path.basename(path), unrelated.name])
+
+
+@pytest.mark.skipif(os.getuid() != 0, reason="giving a file away needs root")
+def test_a_build_keeps_another_users_builds(source, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    theirs = cache / "_native-0123456789abcdef.so"
+    theirs.write_text("another user's build")
+    os.chown(theirs, 4242, -1)
+    _native.build(str(source), str(cache))
+    assert theirs.exists()
+
+
+_C_TYPES = {"int64_t": "i", "uint64_t": "u", "void": "-"}
+
+
+def _c_signatures(text: str) -> dict:
+    """Result and argument classes of every non-static ``nk_*`` definition
+    in the C source, in the notation of ``_native._SIGNATURES``."""
+    found = {}
+    pattern = r"^(int64_t|void)\s+(nk_\w+)\(([^)]*)\)\s*\{"
+    for result, name, params in re.findall(pattern, text, flags=re.MULTILINE):
+        codes = []
+        for param in params.split(","):
+            param = " ".join(param.split())
+            if "*" in param:
+                codes.append("p")
+            else:
+                codes.append(_C_TYPES[param.replace("const ", "").split()[0]])
+        found[name] = f"{_C_TYPES[result]} {''.join(codes)}"
+    return found
+
+
+def test_the_ctypes_signatures_match_the_c_definitions():
+    with open(_native.SOURCE) as handle:
+        defined = _c_signatures(handle.read())
+    assert defined == _native._SIGNATURES
+
+
+def test_the_signature_parser_sees_a_changed_argument():
+    text = "int64_t nk_x(const uint64_t *a, int64_t b,\n             uint64_t c)\n{\n"
+    assert _c_signatures(text) == {"nk_x": "i piu"}
+    assert _c_signatures("static int64_t nk_y(int64_t a)\n{\n") == {}

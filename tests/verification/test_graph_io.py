@@ -187,16 +187,16 @@ class TestGraphDirectoryFlow:
         assert os.path.exists(graph_cache_path(directory, config))
 
         # "New process": caches dropped, the cached graph must replay with
-        # zero frontier expansions.  (The kernel expands through
-        # successor_tables_words_origin — patch that, or a silent
+        # zero level expansions.  (Every compiled level goes through
+        # CompiledStateGraph._expand_next_level — patch that, or a silent
         # recompile would go unnoticed.)
         clear_packed_caches()
         calls = []
-        original = PackedSlotSystem.successor_tables_words_origin
+        original = CompiledStateGraph._expand_next_level
         monkeypatch.setattr(
-            PackedSlotSystem,
-            "successor_tables_words_origin",
-            lambda self, words: calls.append(1) or original(self, words),
+            CompiledStateGraph,
+            "_expand_next_level",
+            lambda self: calls.append(1) or original(self),
         )
         warm = verify_slot_sharing(
             profiles, with_counterexample=False, engine="kernel", graph_dir=directory
@@ -400,13 +400,13 @@ class TestConcurrentCacheWrites:
 
             clear_packed_caches()
             expansions = []
-            original = PackedSlotSystem.expand_frontier
+            original = CompiledStateGraph._expand_next_level
 
-            def counting(self, word_matrix):
-                expansions.append(int(word_matrix.shape[0]))
-                return original(self, word_matrix)
+            def counting(self):
+                expansions.append(self.expanded_levels)
+                return original(self)
 
-            PackedSlotSystem.expand_frontier = counting
+            CompiledStateGraph._expand_next_level = counting
             barrier.wait()
             result = verify_slot_sharing(
                 profiles,
