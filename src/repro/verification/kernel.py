@@ -203,8 +203,8 @@ class PackedStateTable:
     def _alloc(self, shape, dtype, fill=None) -> np.ndarray:
         if self._store is not None:
             return self._store.alloc(shape, dtype, fill=fill)
-        if fill is None:
-            return np.zeros(shape, dtype=dtype)
+        if fill is None:  # rows past ``size`` are written before they are read
+            return np.empty(shape, dtype=dtype)
         return np.full(shape, fill, dtype=dtype)
 
     # ------------------------------------------------------------ properties
@@ -414,7 +414,7 @@ class _GrowableRows:
                 self._store.copy_rows(grown, self._data, self._len)
                 self._store.release(self._data)
             else:
-                grown = np.zeros(shape, self._data.dtype)
+                grown = np.empty(shape, self._data.dtype)
                 grown[: self._len] = self._data[: self._len]
             self._data = grown
         return self._data.ctypes.data + self._len * self._data.strides[0]
