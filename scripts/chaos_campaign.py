@@ -5,14 +5,16 @@ Spawns a private verification server (checkpointing armed, small store
 budget so the LRU churns), then sweeps the robustness scenario corpus as
 live traffic while seeded fault injectors kill pool workers mid-compile,
 drop and garble client sockets, truncate store entries, flood the store
-past its byte budget, interrupt-and-resume checkpointed compiles and (on
-multi-core hosts) SIGKILL supervised shard workers mid-level.  Every
+past its byte budget and interrupt-and-resume checkpointed compiles.  Every
 scenario's answer is compared against a fault-free local oracle; the
 exit status is non-zero iff any verdict diverged.
 
 Usage::
 
-    PYTHONPATH=src python scripts/chaos_campaign.py --seed 2026 --count 105
+    PYTHONPATH=src python scripts/chaos_campaign.py --seed 2026 --count 90
+
+The full sweep is 90 scenarios: the six injectors rotate round-robin, so
+each fires 15 times.
 
 ``--json-out PATH`` writes the machine-readable record (the CI
 ``chaos-campaign`` job uploads it as an artifact); a markdown section is
@@ -43,7 +45,7 @@ def main() -> int:
     parser.add_argument(
         "--count",
         type=int,
-        default=105,
+        default=90,
         help="scenario count (>= %d fires every injector)" % len(CHAOS_INJECTORS),
     )
     parser.add_argument("--start", type=int, default=0, help="first scenario index")
@@ -105,10 +107,7 @@ def main() -> int:
     summary["wall_seconds"] = elapsed
 
     print(f"chaos campaign: seed={args.seed} count={args.count}")
-    print(
-        f"  ok={summary['ok']} divergences={summary['divergences']} "
-        f"gated={summary['gated']}"
-    )
+    print(f"  ok={summary['ok']} divergences={summary['divergences']}")
     print("  injectors (run/fired):")
     for kind, bucket in summary["injectors"].items():
         print(f"    {kind}: {bucket['run']}/{bucket['fired']}")
@@ -135,8 +134,7 @@ def main() -> int:
             handle.write(
                 "## Chaos campaign\n\n"
                 f"- seed {args.seed}, {args.count} scenarios\n"
-                f"- ok {summary['ok']}, divergences {summary['divergences']}, "
-                f"gated {summary['gated']}\n"
+                f"- ok {summary['ok']}, divergences {summary['divergences']}\n"
                 f"- recovery: {summary['recovery']}\n\n"
                 "| injector | run | fired |\n| --- | ---: | ---: |\n"
             )

@@ -33,8 +33,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.robustness import run_campaign  # noqa: E402
 from repro.robustness.campaign import (  # noqa: E402
+    DEFAULT_ENGINES,
     DEFAULT_MAX_STATES,
-    default_campaign_engines,
 )
 
 
@@ -93,9 +93,8 @@ def main() -> int:
     parser.add_argument("--start", type=int, default=0, help="first scenario index")
     parser.add_argument(
         "--engines",
-        default=",".join(default_campaign_engines()),
-        help="comma-separated engine specs to cross-check (default adds a "
-        "sharded:2 column on multi-core hosts)",
+        default=",".join(DEFAULT_ENGINES),
+        help="comma-separated engine specs to cross-check",
     )
     parser.add_argument(
         "--service",

@@ -20,9 +20,9 @@ The subsystem has three layers:
 """
 
 from .campaign import (
+    DEFAULT_ENGINES,
     CampaignResult,
     ScenarioReport,
-    default_campaign_engines,
     run_campaign,
     shrink_profiles,
 )

@@ -25,8 +25,8 @@ still fails — and persisted as a JSON fixture that replays from
 
 Every scenario runs inside a ``try/finally`` that clears the shared packed
 caches, so aborting a scenario mid-exploration (crash injection, operator
-interrupt) never leaks successor memos, compiled graphs or open spill
-memmap handles into the next scenario.
+interrupt) never leaks successor memos or compiled graphs into the next
+scenario.
 """
 
 from __future__ import annotations
@@ -53,32 +53,15 @@ from .generator import Scenario, ScenarioGenerator
 
 __all__ = [
     "CampaignResult",
+    "DEFAULT_ENGINES",
     "ScenarioReport",
     "apply_shrink_op",
-    "default_campaign_engines",
     "run_campaign",
     "shrink_profiles",
 ]
 
 #: Engines every scenario is cross-checked against.
 DEFAULT_ENGINES: Tuple[str, ...] = ("sequential", "vectorized", "kernel")
-
-
-def default_campaign_engines() -> Tuple[str, ...]:
-    """The differential matrix for this host.
-
-    Multi-core hosts with the ``fork`` start method additionally cross-check
-    a two-worker sharded pass (the supervised engine's happy path); on a
-    single-core container the sharded column is left out of the matrix
-    entirely — gated, not failed.
-    """
-    import multiprocessing
-
-    if (os.cpu_count() or 1) >= 2 and (
-        "fork" in multiprocessing.get_all_start_methods()
-    ):
-        return DEFAULT_ENGINES + ("sharded:2",)
-    return DEFAULT_ENGINES
 
 #: Default exploration cap — generously above the generator's typical
 #: state-space sizes, so truncation (and the skipped-scenario bucket) stays
@@ -87,7 +70,7 @@ DEFAULT_MAX_STATES = 200_000
 
 #: The engines whose infeasible-run visited counts are comparable
 #: (level-synchronous stop); ``sequential`` stops in discovery order.
-_LEVEL_SYNCHRONOUS = frozenset({"vectorized", "kernel", "kernel-replay", "sharded"})
+_LEVEL_SYNCHRONOUS = frozenset({"vectorized", "kernel", "kernel-replay"})
 
 
 # -------------------------------------------------------------------- reports
@@ -258,29 +241,11 @@ def _compare(outcomes: Dict[str, ExplorationOutcome]) -> Tuple[str, Optional[str
         return "divergence", f"verdict mismatch: {verdicts}"
     feasible = next(iter(verdicts.values()))
     levels = {name: outcome.levels for name, outcome in outcomes.items()}
-    if feasible:
-        # Complete feasible runs: one extra trailing level is allowed for
-        # the sharded engine — a final candidate wave that dedupes to
-        # nothing still crosses its level barrier (documented engine
-        # semantics); everything else must agree exactly.
-        base = {
-            name: level
-            for name, level in levels.items()
-            if name.split(":", 1)[0] != "sharded"
-        }
-        if len(set(base.values())) > 1:
-            return "divergence", f"level-count mismatch: {levels}"
-        if base:
-            reference_levels = next(iter(base.values()))
-            if any(
-                level not in (reference_levels, reference_levels + 1)
-                for name, level in levels.items()
-                if name not in base
-            ):
-                return "divergence", f"sharded level-count mismatch: {levels}"
-    elif len(set(levels.values())) > 1:
-        # Infeasible runs stop at the minimal witness depth everywhere.
-        return "divergence", f"level/witness-depth mismatch: {levels}"
+    if len(set(levels.values())) > 1:
+        # Complete feasible runs agree on the level count; infeasible runs
+        # stop at the minimal witness depth everywhere.
+        kind = "level-count" if feasible else "level/witness-depth"
+        return "divergence", f"{kind} mismatch: {levels}"
     if feasible:
         counts = {name: outcome.visited_count for name, outcome in outcomes.items()}
         if len(set(counts.values())) > 1:
@@ -289,8 +254,7 @@ def _compare(outcomes: Dict[str, ExplorationOutcome]) -> Tuple[str, Optional[str
         counts = {
             name: outcome.visited_count
             for name, outcome in outcomes.items()
-            # Normalize worker-count suffixes ("sharded:2" -> "sharded").
-            if name.split(":", 1)[0] in _LEVEL_SYNCHRONOUS
+            if name in _LEVEL_SYNCHRONOUS
         }
         if len(set(counts.values())) > 1:
             return (
@@ -441,9 +405,7 @@ def run_campaign(
         start: first scenario index (replay a single scenario with
             ``start=index, count=1``).
         engines: engine specs to cross-check (kernel additionally gets a
-            warm-replay pass); defaults to
-            :func:`default_campaign_engines` — the base matrix plus a
-            two-worker sharded column on multi-core hosts.
+            warm-replay pass); defaults to :data:`DEFAULT_ENGINES`.
         max_states: exploration cap; truncating scenarios are ``skipped``.
         divergence_hook: test hook — called as ``hook(scenario, profiles,
             outcomes)`` after the built-in comparison and may return a
@@ -458,7 +420,7 @@ def run_campaign(
             the reports and aggregate in the summary.
     """
     if engines is None:
-        engines = default_campaign_engines()
+        engines = DEFAULT_ENGINES
     generator = ScenarioGenerator(seed)
     result = CampaignResult(
         seed=int(seed),
@@ -474,9 +436,8 @@ def run_campaign(
                 scenario, engines, max_states, divergence_hook, specs
             )
         finally:
-            # Per-scenario hygiene: drop successor memos, compiled graphs
-            # and any open spill memmap handles even when the scenario
-            # aborts mid-exploration.
+            # Per-scenario hygiene: drop successor memos and compiled
+            # graphs even when the scenario aborts mid-exploration.
             clear_packed_caches()
         report.elapsed_seconds = time.perf_counter() - began
         visited_total = sum(report.visited.values())

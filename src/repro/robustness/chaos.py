@@ -21,10 +21,6 @@ while the request is in flight:
   and resumed from its staged level-boundary checkpoint; the harness
   **counter-asserts** that only post-checkpoint levels were re-expanded
   (``expansion_count == expanded_levels - resumed_levels``).
-* ``kill-shard-worker`` — a supervised two-worker sharded exploration has
-  one worker SIGKILLed mid-level and must re-partition and finish with
-  the identical outcome.  Gated on ``os.cpu_count() >= 2`` — recorded as
-  ``gated`` (never failed) on single-core containers.
 
 Every scenario's service answer is compared against a **fault-free
 oracle**: the same ``verify_slot_sharing`` call run locally on a cold
@@ -45,7 +41,6 @@ import sys
 import tempfile
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -81,7 +76,6 @@ CHAOS_INJECTORS: Tuple[str, ...] = (
     "store-truncate",
     "store-flood",
     "checkpoint-resume",
-    "kill-shard-worker",
 )
 
 #: Default per-scenario exploration cap (matches the campaign's).
@@ -96,7 +90,7 @@ class ChaosReport:
     index: int
     seed: int
     injector: str
-    verdict: str  # "ok" | "divergence" | "gated"
+    verdict: str  # "ok" | "divergence"
     feasible: Optional[bool] = None
     fired: bool = False
     divergence: Optional[str] = None
@@ -152,7 +146,6 @@ class ChaosResult:
             "max_states": self.max_states,
             "ok": sum(1 for report in self.reports if report.verdict == "ok"),
             "divergences": len(self.divergences),
-            "gated": sum(1 for report in self.reports if report.verdict == "gated"),
             "injectors": self.injector_counts(),
             "recovery": dict(self.recovery),
             "server_window": dict(self.server_window),
@@ -568,54 +561,6 @@ def _inject_checkpoint_resume(profiles, budget, max_states, oracle, report):
     return oracle, None
 
 
-def _inject_kill_shard_worker(profiles, budget, max_states, report, rng):
-    """Local leg (gated on a multi-core host): SIGKILL one supervised
-    shard worker mid-level; the re-partitioned team must finish with the
-    identical outcome."""
-    import multiprocessing
-
-    from ..verification.engine import PackedStateSource, ShardedEngine
-
-    if (os.cpu_count() or 1) < 2 or (
-        "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        return "gated", None, None
-    config = SlotSystemConfig.from_profiles(tuple(profiles), budget)
-    clear_packed_caches()
-    try:
-        source = PackedStateSource(PackedSlotSystem(config))
-        reference = ShardedEngine(2, supervise=False).explore(
-            source, max_states, with_parents=False
-        )
-        kill_level = rng.randint(1, 3)
-        fired: List[int] = []
-
-        def hook(level: int, pids: List[int]) -> None:
-            if level == kill_level and not fired:
-                fired.append(pids[level % len(pids)])
-                os.kill(fired[0], signal.SIGKILL)
-
-        engine = ShardedEngine(2, supervise=True, fault_hook=hook)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            outcome = engine.explore(source, max_states, with_parents=False)
-        report.fired = bool(fired)
-        report.detail["recovered_workers"] = engine.recovered_workers
-        triple = (outcome.feasible, outcome.truncated, outcome.visited_count)
-        expected = (
-            reference.feasible,
-            reference.truncated,
-            reference.visited_count,
-        )
-        if triple != expected:
-            return None, None, (
-                f"supervised outcome {triple} != fault-free sharded {expected}"
-            )
-        return None, triple, None
-    finally:
-        clear_packed_caches()
-
-
 # ---------------------------------------------------------------- the sweep
 def run_chaos(
     seed: int,
@@ -630,8 +575,8 @@ def run_chaos(
     """Sweep ``count`` scenarios as service traffic, one injector each.
 
     Injectors rotate round-robin over the corpus (``count >=
-    len(injectors)`` fires every kind), with per-scenario randomness (kill
-    levels, flood seeds) drawn from a ``seed``-derived stream so the whole
+    len(injectors)`` fires every kind), with per-scenario randomness (flood
+    seeds) drawn from a ``seed``-derived stream so the whole
     sweep replays from ``(seed, start, count)`` alone.
 
     Args:
@@ -650,11 +595,7 @@ def run_chaos(
     result = ChaosResult(
         seed=int(seed), start=int(start), count=int(count), max_states=int(max_states)
     )
-    recovery = {
-        "pool_workers_killed": 0,
-        "checkpoint_resumes": 0,
-        "shard_recoveries": 0,
-    }
+    recovery = {"pool_workers_killed": 0, "checkpoint_resumes": 0}
     with ServiceClient(server.socket_path, timeout=30.0) as probe:
         before = probe.stats()["stats"]
     for position, scenario in enumerate(generator.corpus(count, start)):
@@ -674,8 +615,6 @@ def run_chaos(
             if failure:
                 report.verdict = "divergence"
                 report.divergence = failure
-            elif observed == "gated":
-                report.verdict = "gated"
             elif observed is not None:
                 mismatch = _compare(oracle, observed)
                 if mismatch:
@@ -688,10 +627,6 @@ def run_chaos(
             recovery["pool_workers_killed"] += 1
         if injector == "checkpoint-resume" and report.fired:
             recovery["checkpoint_resumes"] += 1
-        if injector == "kill-shard-worker":
-            recovery["shard_recoveries"] += int(
-                report.detail.get("recovered_workers") or 0
-            )
         result.reports.append(report)
         if progress is not None:
             progress(report)
@@ -709,8 +644,8 @@ def _dispatch_injector(
 ):
     """Run one injector leg; returns ``(observed_triple_or_None, failure)``.
 
-    ``observed`` of ``"gated"`` marks a host-gated leg; ``None`` with no
-    failure means the leg validated internally against the oracle already.
+    ``observed`` of ``None`` with no failure means the leg validated
+    internally against the oracle already.
     """
     if injector == "kill-pool-worker":
         return _inject_kill_pool_worker(server, profiles, budget, max_states, report)
@@ -726,15 +661,4 @@ def _dispatch_injector(
         )
     if injector == "checkpoint-resume":
         return _inject_checkpoint_resume(profiles, budget, max_states, oracle, report)
-    if injector == "kill-shard-worker":
-        gated, triple, failure = _inject_kill_shard_worker(
-            profiles, budget, max_states, report, rng
-        )
-        if gated:
-            return "gated", None
-        if failure:
-            return None, failure
-        # The sharded outcome was validated against its own fault-free
-        # sharded reference; the service comparison still runs.
-        return _service_verify(server, profiles, budget, max_states), None
     raise ValueError(f"unknown injector {injector!r}")

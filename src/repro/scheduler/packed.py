@@ -420,10 +420,8 @@ class PackedSlotSystem:
         """Cheap upper-bound estimate of the reachable state-space size.
 
         Product of the per-application phase-space capacities times the
-        occupant and buffer-mask ranges.  Used by the engine auto-selection
-        to decide whether parallel exploration is worth its setup cost; the
-        estimate over-counts (most combinations are unreachable) but orders
-        configurations correctly.
+        occupant and buffer-mask ranges.  The estimate over-counts (most
+        combinations are unreachable) but orders configurations correctly.
         """
         total = self._n + 1  # occupant
         total *= 1 << self._n  # buffer member mask
@@ -477,7 +475,7 @@ class PackedSlotSystem:
         The block-table expansion kernel (:class:`_FrontierExpander`): one
         C loop over per-application XOR-delta block tables, no Python work
         per state — the cold-exploration workhorse of the vectorized and
-        sharded engines.  The compiled kernel runs the same C loop inside
+        sequential engines.  The compiled kernel runs the same C loop inside
         its fused level call (``nk_level``) instead.
 
         Args:
@@ -680,12 +678,7 @@ class PackedSlotSystem:
         """
         self._successor_memo.clear()
         self._table_memo.clear()
-        graph = self.compiled_graph
         self.compiled_graph = None
-        if graph is not None:
-            close = getattr(graph, "close", None)
-            if close is not None:
-                close()
 
     def clear_expansion_tables(self) -> None:
         """Drop the compiled block tables of the frontier expansion kernel.
@@ -1121,10 +1114,9 @@ def clear_packed_caches() -> None:
     The shared caches trade memory for cross-run speed (see
     :meth:`PackedSlotSystem.clear_memo`); long-lived processes that are done
     verifying can call this to return to a cold baseline.  Everything goes:
-    successor memos, compiled state graphs (closing any open memmap spill
-    handles with them) *and* the compiled expansion block tables, so a
-    subsequent run — or the next test in a suite — starts genuinely cold
-    with no leaked state or file descriptors.
+    successor memos, compiled state graphs *and* the compiled expansion
+    block tables, so a subsequent run — or the next test in a suite —
+    starts genuinely cold with no leaked state.
     """
     for system in _SYSTEM_CACHE.values():
         system.clear_memo()

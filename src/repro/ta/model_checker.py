@@ -8,8 +8,8 @@ network semantics of :mod:`repro.ta.network`.
 
 The search itself is delegated to the pluggable exploration engines of
 :mod:`repro.verification.engine`: the default sequential BFS reproduces the
-original deque-based loop state for state, and the sharded multi-process
-engine can be selected per checker (``engine=`` argument) or globally
+original deque-based loop state for state, and another engine can be
+selected per checker (``engine=`` argument) or globally
 (``REPRO_VERIFICATION_ENGINE``).  The numpy-vectorized engine only applies
 to packed slot systems and is rejected for TA networks; the compiled
 state-graph kernel (``engine="kernel"``) *is* supported — the checker owns

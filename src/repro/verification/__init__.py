@@ -12,13 +12,6 @@ Every reachability search in this package (and in
 * ``"sequential"`` — :class:`~repro.verification.engine.SequentialPackedEngine`,
   the frontier-batched single-process BFS.  Lowest constant factor, fully
   deterministic, the reference implementation.
-* ``"sharded"`` / ``"sharded:N"`` —
-  :class:`~repro.verification.engine.ShardedEngine`, a level-synchronous
-  multi-process BFS that partitions the visited set by state hash across
-  ``N`` workers (default: one per usable core) and exchanges cross-shard
-  successors once per BFS level.  Scales verification across cores for
-  large products; pure overhead on a single-core host or for small state
-  spaces.
 * ``"vectorized"`` — :class:`~repro.verification.engine.VectorizedEngine`,
   numpy ``uint64`` frontiers over the packed integer states, driven by the
   successor tables exported by
@@ -39,12 +32,10 @@ Selection is per call site (``engine=`` argument on
 :func:`repro.dimensioning.first_fit.default_admission_test` and
 :func:`repro.analysis.verification_times.acceleration_comparison`) or global
 through the ``REPRO_VERIFICATION_ENGINE`` environment variable.  The default
-``"auto"`` picks the sharded engine for packed systems whose estimated state
-space is large when more than one core is usable, the compiled kernel for
-every other packed system the frontier expansion supports (the graph is
-compiled during the first exploration and replayed afterwards), and the
-sequential engine otherwise.  All engines explore the identical state space — identical
-visited counts on feasible instances and, on every *complete* (non-
+``"auto"`` picks the compiled kernel for every packed system the frontier
+expansion supports (the graph is compiled during the first exploration and
+replayed afterwards) and the sequential engine otherwise.  All engines
+explore the identical state space — identical visited counts on feasible instances and, on every *complete* (non-
 truncated) run, identical verdicts and witness depths.  A run truncated by
 ``max_states`` only vouches for the part it explored, and the engines cap
 at slightly different points within a BFS level, so truncated verdicts can
@@ -62,9 +53,7 @@ from .engine import (
     GenericSource,
     PackedStateSource,
     SequentialPackedEngine,
-    ShardedEngine,
     VectorizedEngine,
-    available_worker_count,
     resolve_engine,
 )
 from .exhaustive import DEFAULT_MAX_STATES, ExhaustiveVerifier, verify_slot_sharing
@@ -117,13 +106,11 @@ __all__ = [
     "ExplorationEngine",
     "ExplorationOutcome",
     "SequentialPackedEngine",
-    "ShardedEngine",
     "VectorizedEngine",
     "CompiledKernelEngine",
     "PackedStateSource",
     "GenericSource",
     "resolve_engine",
-    "available_worker_count",
     "ENGINE_ENV_VAR",
     "replay_counterexample",
     "CompiledStateGraph",

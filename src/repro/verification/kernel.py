@@ -40,8 +40,8 @@ state -> (parent state, label)``), so trace reconstruction works unchanged,
 plus an ``arrival_chain`` fast path that walks ids instead of hashing
 packed ints.
 
-Exploration semantics mirror the level-synchronous engines (sharded,
-vectorized): identical visited counts on feasible complete runs, identical
+Exploration semantics mirror the level-synchronous vectorized engine:
+identical visited counts on feasible complete runs, identical
 error depth on infeasible ones, deterministic truncation by sorted order
 within the level that would cross ``max_states`` (see the semantics notes
 in :mod:`repro.verification.engine`).
@@ -61,7 +61,6 @@ from .. import _native
 from .._validation import env_int
 from ..exceptions import VerificationError
 from ..scheduler.packed import unpack_words
-from . import spill as _spill
 
 logger = logging.getLogger(__name__)
 
@@ -89,19 +88,12 @@ __all__ = [
 #: versions are logged, dropped and recompiled.
 GRAPH_FORMAT_VERSION = 2
 
-#: Sentinel ``label`` marking a record without a parent (the root) in the
-#: sharded engine's packed candidate buffers.  Real labels are arrival
-#: masks, bounded by the application count, so the all-ones word is free.
-NO_PARENT_LABEL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 def hash_words(word_matrix: np.ndarray) -> np.ndarray:
     """One mixed ``uint64`` hash per multi-word state row.
 
     A splitmix64 finalizer per word folded FNV-style across the columns
     (``nk_hash`` of :mod:`repro._native`): the probe hash of
-    :class:`PackedStateTable`, which ``nk_level`` computes in place, and
-    the shard router of the sharded engine (coordinator and workers must
-    agree, so both call this).
+    :class:`PackedStateTable`, which ``nk_level`` computes in place.
     """
     keys = np.ascontiguousarray(word_matrix, dtype=np.uint64)
     hashes = np.empty(keys.shape[0], dtype=np.uint64)
@@ -161,7 +153,7 @@ class PackedStateTable:
     ``intern`` requires the batch itself to be duplicate-free;
     :meth:`intern_dedup` accepts arbitrary duplicate-laden batches and
     dedupes them *inside* the probe loop — the per-level set operation of
-    the sharded, vectorized and sequential engines.  ``lookup`` and
+    the vectorized and sequential engines.  ``lookup`` and
     ``contains`` accept anything.  :class:`CompiledStateGraph` does not
     call them per level: its ``nk_level`` call probes, claims and numbers
     a level's successors in this table's arrays itself, with
@@ -172,19 +164,11 @@ class PackedStateTable:
         words: ``uint64`` words per state row.
         initial_capacity: initial slot-array capacity (rounded up to a
             power of two).
-        store: optional :class:`~repro.verification.spill.SpillStore`
-            backing the slot array and the key pages — beyond the
-            configured byte budget they live in memmaps instead of RAM.
     """
 
-    __slots__ = ("_words", "_capacity", "_slots", "_states", "_size", "_store")
+    __slots__ = ("_words", "_capacity", "_slots", "_states", "_size")
 
-    def __init__(
-        self,
-        words: int = 1,
-        initial_capacity: int = 1 << 12,
-        store: Optional[_spill.SpillStore] = None,
-    ) -> None:
+    def __init__(self, words: int = 1, initial_capacity: int = 1 << 12) -> None:
         if words < 1:
             raise ValueError(f"state word count must be positive, got {words}")
         capacity = 8
@@ -192,20 +176,13 @@ class PackedStateTable:
             capacity <<= 1
         self._words = int(words)
         self._capacity = capacity
-        self._store = store
         # Slot entries are int32: a dense id (or an in-batch provisional
         # marker) always fits, and halving the probe array's bytes halves
         # the cache and RSS cost of the random probe traffic.
-        self._slots = self._alloc((capacity,), np.int32, fill=-1)
-        self._states = self._alloc((max(capacity >> 1, 8), self._words), np.uint64)
+        self._slots = np.full(capacity, -1, dtype=np.int32)
+        # Rows past ``size`` are written before they are read.
+        self._states = np.empty((max(capacity >> 1, 8), self._words), dtype=np.uint64)
         self._size = 0
-
-    def _alloc(self, shape, dtype, fill=None) -> np.ndarray:
-        if self._store is not None:
-            return self._store.alloc(shape, dtype, fill=fill)
-        if fill is None:  # rows past ``size`` are written before they are read
-            return np.empty(shape, dtype=dtype)
-        return np.full(shape, fill, dtype=dtype)
 
     # ------------------------------------------------------------ properties
     @property
@@ -263,12 +240,8 @@ class PackedStateTable:
             state_capacity = self._states.shape[0]
             while state_capacity < needed:
                 state_capacity <<= 1
-            grown = self._alloc((state_capacity, self._words), np.uint64)
-            if self._store is not None:
-                self._store.copy_rows(grown, self._states, self._size)
-                self._store.release(self._states)
-            else:
-                grown[: self._size] = self._states[: self._size]
+            grown = np.empty((state_capacity, self._words), dtype=np.uint64)
+            grown[: self._size] = self._states[: self._size]
             self._states = grown
         if needed * 5 >= self._capacity * 3:
             capacity = self._capacity
@@ -282,9 +255,7 @@ class PackedStateTable:
                 # extra doublings of the 4-byte slot array.
                 capacity <<= 2
             self._capacity = capacity
-            if self._store is not None:
-                self._store.release(self._slots)
-            self._slots = self._alloc((capacity,), np.int32, fill=-1)
+            self._slots = np.full(capacity, -1, dtype=np.int32)
             if self._size:
                 hashes = np.ascontiguousarray(
                     self._hash_words(self._states[: self._size]), dtype=np.uint64
@@ -292,11 +263,6 @@ class PackedStateTable:
                 _native.load().nk_rehash(
                     self._slots.ctypes.data, capacity - 1, hashes.ctypes.data, self._size
                 )
-        if self._store is not None:
-            # Growth dirties whole replacement arrays at once; drop the
-            # spilled pages immediately instead of waiting for the next
-            # level boundary.
-            self._store.relax()
 
     def _insert(self, keys: np.ndarray, by_value: bool) -> Tuple[np.ndarray, np.ndarray]:
         """Intern a key batch; ``(ids, new_rows)``.  New ids follow the
@@ -377,27 +343,13 @@ class PackedStateTable:
 
 
 class _GrowableRows:
-    """Append-only numpy array with amortized-O(1) geometric growth.
+    """Append-only numpy array with amortized-O(1) geometric growth."""
 
-    With a :class:`~repro.verification.spill.SpillStore` attached, growth
-    beyond the byte budget lands in memmapped chunks — the CSR transition
-    arrays are the kernel's largest append-only consumers.
-    """
+    __slots__ = ("_data", "_len")
 
-    __slots__ = ("_data", "_len", "_store")
-
-    def __init__(
-        self,
-        dtype,
-        cols: int = 0,
-        capacity: int = 16,
-        store: Optional[_spill.SpillStore] = None,
-    ) -> None:
+    def __init__(self, dtype, cols: int = 0, capacity: int = 16) -> None:
         shape = (capacity,) if cols == 0 else (capacity, cols)
-        self._store = store
-        self._data = store.alloc(shape, dtype) if store is not None else np.zeros(
-            shape, dtype=dtype
-        )
+        self._data = np.zeros(shape, dtype=dtype)
         self._len = 0
 
     def reserve(self, extra: int) -> int:
@@ -408,14 +360,8 @@ class _GrowableRows:
             capacity = self._data.shape[0]
             while capacity < needed:
                 capacity <<= 1
-            shape = (capacity,) + self._data.shape[1:]
-            if self._store is not None:
-                grown = self._store.alloc(shape, self._data.dtype)
-                self._store.copy_rows(grown, self._data, self._len)
-                self._store.release(self._data)
-            else:
-                grown = np.empty(shape, self._data.dtype)
-                grown[: self._len] = self._data[: self._len]
+            grown = np.empty((capacity,) + self._data.shape[1:], self._data.dtype)
+            grown[: self._len] = self._data[: self._len]
             self._data = grown
         return self._data.ctypes.data + self._len * self._data.strides[0]
 
@@ -614,7 +560,6 @@ class CompiledStateGraph:
         "system",
         "words",
         "table",
-        "store",
         "level_ptr",
         "expanded_levels",
         "complete",
@@ -633,13 +578,7 @@ class CompiledStateGraph:
     def __init__(self, system) -> None:
         self.system = system
         self.words = int(system.packed_words)
-        #: Byte-budgeted allocator of the long-lived arrays; ``None`` when
-        #: no ``REPRO_STATE_BUDGET_BYTES`` budget is configured, in which
-        #: case everything lives in plain RAM arrays as before.
-        self.store = (
-            _spill.SpillStore() if _spill.state_budget_bytes() is not None else None
-        )
-        self.table = PackedStateTable(self.words, store=self.store)
+        self.table = PackedStateTable(self.words)
         self.table.intern(system.pack_words([system.initial]))
         #: ``level_ptr[d] : level_ptr[d + 1]`` is the id range of BFS depth d.
         self.level_ptr: List[int] = [0, 1]
@@ -652,12 +591,12 @@ class CompiledStateGraph:
         self.error: Optional[Tuple[int, int, int]] = None
         #: Level whose expansion found the error (``-1`` while error-free).
         self.error_level = -1
-        self._indptr = _GrowableRows(np.int64, store=self.store)
+        self._indptr = _GrowableRows(np.int64)
         self._indptr.extend(np.zeros(1, dtype=np.int64))
-        self._succ_ids = _GrowableRows(np.int32, store=self.store)
-        self._labels = _GrowableRows(np.uint64, store=self.store)
-        self._parent_ids = _GrowableRows(np.int32, store=self.store)
-        self._parent_labels = _GrowableRows(np.uint64, store=self.store)
+        self._succ_ids = _GrowableRows(np.int32)
+        self._labels = _GrowableRows(np.uint64)
+        self._parent_ids = _GrowableRows(np.int32)
+        self._parent_labels = _GrowableRows(np.uint64)
         #: Active :class:`CheckpointPolicy`, or ``None`` (the default: no
         #: checkpoint overhead).  Installed via :meth:`set_checkpoint_policy`
         #: by the compile-claim holder.
@@ -669,17 +608,6 @@ class CompiledStateGraph:
         #: Levels that were already compiled when this graph was loaded
         #: (0 for cold-built graphs).
         self.resumed_levels = 0
-
-    def close(self) -> None:
-        """Release the spill store (memmap handles + files), if any.
-
-        Called when the graph is dropped from its system
-        (:meth:`~repro.scheduler.packed.PackedSlotSystem.clear_memo` /
-        ``clear_packed_caches``) so spilled graphs cannot leak file
-        descriptors or tempdir contents across configurations.
-        """
-        if self.store is not None:
-            self.store.close()
 
     # ------------------------------------------------------------ accessors
     @property
@@ -766,10 +694,6 @@ class CompiledStateGraph:
             self.complete = True
             return
         self.level_ptr.append(self.table.size)
-        if self.store is not None and self.store.spilled:
-            # Keep the RSS near the configured budget: drop the spilled
-            # mappings' resident pages once per compiled level.
-            self.store.relax()
 
     def _expand_fused(self, expander, first: int, last: int) -> int:
         """Compile a level with one ``nk_level`` call; the new state count,
@@ -984,9 +908,7 @@ class CompiledStateGraph:
             )
         graph = cls(system)
         table = PackedStateTable(
-            system.packed_words,
-            initial_capacity=max(2 * count, 1 << 12),
-            store=graph.store,
+            system.packed_words, initial_capacity=max(2 * count, 1 << 12)
         )
         _, new_mask = table.intern(state_words)
         level_ptr = arrays["level_ptr"].astype(np.int64).tolist()
@@ -1020,7 +942,7 @@ class CompiledStateGraph:
             ("_parent_ids", "parent_ids", np.int32),
             ("_parent_labels", "parent_labels", np.uint64),
         ):
-            rows = _GrowableRows(dtype, store=graph.store)
+            rows = _GrowableRows(dtype)
             rows.extend(arrays[key].astype(dtype))
             setattr(graph, attr_name, rows)
         return graph
@@ -1299,10 +1221,7 @@ def save_graph(system, path) -> str:
 def load_graph(system, path) -> CompiledStateGraph:
     """Load a saved graph and install it as the system's compiled graph."""
     graph = CompiledStateGraph.load(path, system)
-    previous = system.compiled_graph
     system.compiled_graph = graph
-    if previous is not None and previous is not graph:
-        previous.close()
     return graph
 
 

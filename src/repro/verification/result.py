@@ -58,10 +58,10 @@ class VerificationResult:
             breadth-first level structure, so on feasible complete runs the
             count is engine-independent; they differ in when *inside* a
             level they stop.  ``"level-synchronous"`` — the canonical
-            semantics of the compiled-kernel, sharded and vectorized
-            engines (and hence of ``engine="auto"`` on packed sources):
-            the level that found the error is counted in full, making the
-            number deterministic regardless of worker interleaving.
+            semantics of the compiled-kernel and vectorized engines (and
+            hence of ``engine="auto"`` on packed sources): the level that
+            found the error is counted in full, making the number
+            deterministic.
             ``"discovery-order"`` — the sequential reference engine stops
             at the first error transition in discovery order, so its count
             on infeasible runs can be smaller.  Verdict, witness depth and

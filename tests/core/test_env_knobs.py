@@ -9,10 +9,21 @@ import re
 
 import pytest
 
-from repro.verification import engine, kernel, spec_eval, spill, store
+from repro.verification import kernel, spec_eval, store
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 KNOB = re.compile(r"REPRO_[A-Z_]+")
+
+#: Every knob the code reads, in README-table order.
+KNOBS = (
+    "REPRO_VERIFICATION_ENGINE",
+    "REPRO_GRAPH_DIR",
+    "REPRO_GRAPH_STORE_BYTES",
+    "REPRO_CHECKPOINT_LEVELS",
+    "REPRO_CHECKPOINT_BYTES",
+    "REPRO_SPEC_CACHE",
+    "REPRO_SERVICE_SOCKET",
+)
 
 
 def _readme_table_knobs():
@@ -38,7 +49,8 @@ def _source_knobs():
 def test_readme_knob_table_matches_the_source():
     table = _readme_table_knobs()
     assert len(table) == len(set(table)), "duplicate rows in the knob table"
-    assert set(table) == _source_knobs()
+    assert tuple(table) == KNOBS
+    assert _source_knobs() == set(KNOBS)
 
 
 
@@ -49,11 +61,9 @@ def _checkpoint_policy():
 #: Every integer knob: (name, reader, value read when the knob is malformed).
 INTEGER_KNOBS = [
     (spec_eval.SPEC_CACHE_ENV_VAR, spec_eval._spec_cache_capacity, 256),
-    (spill.STATE_BUDGET_ENV_VAR, spill.state_budget_bytes, None),
     (store.STORE_BYTES_ENV_VAR, store._store_budget_bytes, None),
     (kernel.CHECKPOINT_LEVELS_ENV_VAR, _checkpoint_policy, None),
     (kernel.CHECKPOINT_BYTES_ENV_VAR, _checkpoint_policy, None),
-    (engine.AUTO_SHARD_ENV_VAR, engine._auto_shard_threshold, 10**13),
 ]
 
 

@@ -3,7 +3,7 @@
 ``PackedSlotSystem.expand_frontier`` must reproduce the memoized per-state
 ``successors()`` expansion *exactly* — successor states, full event bit
 fields and transition order — because the compiled-kernel, vectorized and
-sharded engines all run on it while ``successors()`` (itself cross-checked
+sequential engines all run on it while ``successors()`` (itself cross-checked
 against the tuple semantics in ``test_packed_state.py``) stays the
 reference.  Covered here: randomized configurations, instance budgets,
 multi-word (>64-bit) states, collision-heavy arrival subsets (many

@@ -1,7 +1,7 @@
 """Cross-engine equivalence tests for the pluggable exploration engines.
 
 Every engine must explore the identical state space: on feasible systems the
-visited counts of the sequential, sharded and vectorized engines are equal
+visited counts of the sequential, vectorized and kernel engines are equal
 state for state (the sequential engine is itself cross-checked against the
 tuple semantics in ``tests/scheduler/test_packed_state.py``), and on
 infeasible systems all engines must agree on the verdict and find an error
@@ -22,7 +22,6 @@ from repro.verification import (
     ExplorationOutcome,
     PackedStateSource,
     SequentialPackedEngine,
-    ShardedEngine,
     VectorizedEngine,
     instance_budgets,
     resolve_engine,
@@ -30,7 +29,7 @@ from repro.verification import (
 )
 from repro.verification.engine import GenericSource
 
-ENGINE_SPECS = ["sequential", "sharded:2", "vectorized", "kernel"]
+ENGINE_SPECS = ["sequential", "vectorized", "kernel"]
 
 
 def _engine_of(spec: str):
@@ -208,9 +207,9 @@ class TestEngineSemantics:
         self, small_profile, second_small_profile
     ):
         """A cap one above the true state-space size must leave every engine
-        un-truncated with the full count (regression: the sharded engine
-        used to flag truncation based on raw candidate counts, which include
-        duplicates and already-visited states)."""
+        un-truncated with the full count (regression: a level-synchronous
+        engine once flagged truncation based on raw candidate counts, which
+        include duplicates and already-visited states)."""
         config = SlotSystemConfig.from_profiles((small_profile, second_small_profile))
         full = _explore("sequential", config, with_parents=False)
         assert not full.truncated
@@ -240,7 +239,7 @@ class TestEngineSemantics:
         def successors(state):
             return [(succ, label) for succ, label in graph[state]]
 
-        for spec in ["sequential", "sharded:2", "kernel"]:
+        for spec in ["sequential", "kernel"]:
             source = GenericSource(
                 initial=0, successors=successors, is_error=lambda s: s == 3
             )
@@ -260,11 +259,11 @@ class TestEngineSemantics:
         reference = ModelChecker(network, engine="sequential").error_reachable(
             with_trace=False
         )
-        sharded = ModelChecker(network, engine="sharded:2").error_reachable(
+        kernel = ModelChecker(network, engine="kernel").error_reachable(
             with_trace=False
         )
-        assert sharded.reachable == reference.reachable is False
-        assert sharded.explored_states == reference.explored_states
+        assert kernel.reachable == reference.reachable is False
+        assert kernel.explored_states == reference.explored_states
 
 
 class TestSequentialBatchedPath:
@@ -309,98 +308,27 @@ class TestSequentialBatchedPath:
         assert loop_error.error_state == batched_error.error_state
 
 
-class TestSharedMemoryFrontiers:
-    """The sharded engine's shared-memory frontier exchange must be
-    result-identical to the pipe transport it replaces, and both must
-    match the sequential reference."""
-
-    def test_pipe_fallback_env_knob_matches_shm(
-        self, small_profile, second_small_profile, monkeypatch
-    ):
-        from repro.verification.shm import (
-            SHARED_FRONTIERS_ENV_VAR,
-            shared_frontiers_enabled,
-        )
-
-        config = SlotSystemConfig.from_profiles((small_profile, second_small_profile))
-        reference = _explore("sequential", config)
-        shm_outcome = _explore("sharded:2", config)
-        monkeypatch.setenv(SHARED_FRONTIERS_ENV_VAR, "0")
-        assert not shared_frontiers_enabled()
-        pipe_outcome = _explore("sharded:2", config)
-        for outcome in (shm_outcome, pipe_outcome):
-            assert outcome.visited_count == reference.visited_count
-            assert set(outcome.parents) == set(reference.parents)
-
-    def test_ring_growth_across_levels(
-        self, small_profile, second_small_profile, monkeypatch
-    ):
-        """A tiny initial segment forces the rings to grow (and rename)
-        mid-search; workers must re-attach transparently."""
-        from repro.verification import shm
-
-        monkeypatch.setattr(shm, "_MIN_SEGMENT_BYTES", 32)
-        config = SlotSystemConfig.from_profiles((small_profile, second_small_profile))
-        reference = _explore("sequential", config, with_parents=False)
-        outcome = _explore("sharded:2", config, with_parents=False)
-        assert outcome.visited_count == reference.visited_count
-
-    def test_infeasible_witness_through_shm(
-        self, small_profile, second_small_profile, tight_profile
-    ):
-        profiles = [small_profile, second_small_profile, tight_profile]
-        result = verify_slot_sharing(profiles, engine="sharded:2")
-        assert not result.feasible
-        assert result.counterexample and result.counterexample[-1].missed
-
-    def test_frontier_ring_write_and_read_roundtrip(self):
-        from repro.verification.shm import FrontierReader, FrontierRing
-
-        import numpy as np
-
-        ring = FrontierRing()
-        reader = FrontierReader()
-        try:
-            first = np.arange(12, dtype=np.uint64).reshape(4, 3)
-            second = np.arange(100, 106, dtype=np.uint64).reshape(2, 3)
-            name, rows = ring.write([first, second], 3)
-            assert rows == 6
-            view = reader.view(name, rows, 3)
-            assert (view == np.vstack([first, second])).all()
-            del view
-            # Growth renames the segment; stale attachments refresh.
-            big = np.ones((4096, 3), dtype=np.uint64)
-            new_name, rows = ring.write([big], 3)
-            assert rows == 4096
-            view = reader.view(new_name, rows, 3)
-            assert (view == 1).all()
-            del view
-        finally:
-            reader.close()
-            ring.close()
-
-
 class TestEngineSelection:
     def test_spec_strings_resolve(self):
         assert isinstance(resolve_engine("sequential"), SequentialPackedEngine)
         assert isinstance(resolve_engine("vectorized"), VectorizedEngine)
         assert isinstance(resolve_engine("kernel"), CompiledKernelEngine)
-        sharded = resolve_engine("sharded:3")
-        assert isinstance(sharded, ShardedEngine)
-        assert sharded.workers == 3
-        assert resolve_engine("sharded").workers is None
 
     def test_engine_instances_pass_through(self):
-        engine = ShardedEngine(2)
+        engine = CompiledKernelEngine()
         assert resolve_engine(engine) is engine
 
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(VerificationError):
-            resolve_engine("warp-drive")
-        with pytest.raises(VerificationError):
-            resolve_engine("sharded:many")
-        with pytest.raises(VerificationError):
-            ShardedEngine(0)
+    def test_invalid_specs_rejected(self, monkeypatch):
+        # Unknown specs, and the removed sharded engine, raise with a
+        # message that lists every remaining spec.
+        for spec in ("warp-drive", "sharded", "sharded:2", "sharded:many"):
+            with pytest.raises(VerificationError) as raised:
+                resolve_engine(spec)
+            for name in ("auto", "sequential", "vectorized", "kernel"):
+                assert repr(name) in str(raised.value), (spec, name)
+        monkeypatch.setenv(ENGINE_ENV_VAR, "sharded")
+        with pytest.raises(VerificationError, match="'kernel'"):
+            resolve_engine()
 
     def test_env_var_override(self, small_profile, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "vectorized")

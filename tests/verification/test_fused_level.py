@@ -224,8 +224,8 @@ def test_an_error_level_changes_nothing():
     ],
 )
 def test_hash_words_keeps_its_values(words, expected):
-    """The probe and shard-routing hash, pinned to the values of the numpy
-    implementation it replaced (sharded workers and stores must agree)."""
+    """The probe hash, pinned to the values of the numpy implementation it
+    replaced."""
     keys = np.array(
         [[0] * words, [1] * words, [2**64 - 1] * words,
          [(0x0123456789ABCDEF * (j + 1)) % 2**64 for j in range(words)]],
