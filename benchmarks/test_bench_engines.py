@@ -3,7 +3,7 @@
 Two instances are timed:
 
 * the unbounded-budget slot {C1, C5, C4} (27,716 states) across the
-  sequential, vectorized and kernel engines, and
+  sequential and kernel engines, and
 * the paper's hardest instance, slot S1 = {C1, C5, C4, C3} with the Sec. 5
   instance budgets (145,373 states, 62-bit packed states), across the
   same engines.
@@ -40,7 +40,7 @@ def _slot1():
 
 
 @pytest.mark.benchmark(group="engines")
-@pytest.mark.parametrize("engine", ["sequential", "vectorized", "kernel"])
+@pytest.mark.parametrize("engine", ["sequential", "kernel"])
 def test_bench_engine_unbounded_prefix(benchmark, engine):
     """Unbounded-budget verification of {C1, C5, C4} per engine."""
     slot = _prefix_profiles()
@@ -60,7 +60,7 @@ def test_bench_engine_unbounded_prefix(benchmark, engine):
 
 
 @pytest.mark.benchmark(group="engines")
-@pytest.mark.parametrize("engine", ["sequential", "vectorized", "kernel"])
+@pytest.mark.parametrize("engine", ["sequential", "kernel"])
 def test_bench_engine_slot1_accelerated(benchmark, engine):
     """Accelerated verification of the hardest instance (slot S1) per engine."""
     slot, budgets = _slot1()
@@ -80,12 +80,11 @@ def test_bench_engine_slot1_accelerated(benchmark, engine):
 
 
 def test_all_engines_agree_on_slot1():
-    """Acceptance bar: sequential, vectorized and compiled-kernel engines
-    explore the identical 145,373-state space of slot S1 (cold
-    caches each)."""
+    """Acceptance bar: the sequential and compiled-kernel engines explore
+    the identical 145,373-state space of slot S1 (cold caches each)."""
     slot, budgets = _slot1()
     counts = {}
-    for engine in ("sequential", "vectorized", "kernel"):
+    for engine in ("sequential", "kernel"):
         clear_packed_caches()
         result = verify_slot_sharing(
             slot, instance_budget=budgets, with_counterexample=False, engine=engine

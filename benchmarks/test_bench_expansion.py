@@ -1,4 +1,4 @@
-"""Vectorized frontier-expansion benchmarks (group ``expansion``).
+"""Native frontier-expansion benchmarks (group ``expansion``).
 
 The block-table expansion kernel (``PackedSlotSystem.expand_frontier``) is
 what bounds *cold* exploration — every engine's first visit of a
@@ -7,7 +7,7 @@ configuration.  Three benchmarks pin it down:
 * raw kernel throughput on a large mid-search frontier of slot S1
   (states/s and transitions/s, vs the ~165 k states/s per-state Python
   expansion it replaced),
-* cold end-to-end exploration of slot S1 on the vectorized engine
+* cold end-to-end exploration of slot S1 on the kernel engine
   (the acceptance bar: >= 3x over the PR 3 per-state baseline),
 * serialized-graph round-trip: save the compiled slot-S1 graph, load it
   into a fresh system and replay — the CI warm-start path
@@ -74,10 +74,10 @@ def test_bench_expand_frontier_throughput(benchmark):
 
 @pytest.mark.benchmark(group="expansion")
 def test_bench_cold_exploration_slot1(benchmark):
-    """Cold end-to-end slot-S1 exploration on the vectorized engine.
+    """Cold end-to-end slot-S1 exploration on the kernel engine.
 
-    The acceptance bar of the expansion kernel: at least 3x over the PR 3
-    per-state cold path (~1.2 s kernel compile / ~1.45 s vectorized on the
+    The acceptance bar of the expansion kernel: at least 3x over the
+    per-state cold path it replaced (~1.2 s kernel compile on the
     reference container).
     """
     slot, budgets = _slot1()
@@ -87,13 +87,13 @@ def test_bench_cold_exploration_slot1(benchmark):
             slot,
             instance_budget=budgets,
             with_counterexample=False,
-            engine="vectorized",
+            engine="kernel",
         )
 
     result = benchmark.pedantic(run, setup=clear_packed_caches, iterations=1, rounds=3)
     mean = benchmark.stats.stats.mean
     print_block(
-        "cold vectorized exploration — slot S1",
+        "cold kernel exploration — slot S1",
         [result.summary(), f"{SLOT1_STATES / mean:,.0f} states/s cold"],
     )
     assert result.feasible

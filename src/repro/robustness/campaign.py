@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 #: Engines every scenario is cross-checked against.
-DEFAULT_ENGINES: Tuple[str, ...] = ("sequential", "vectorized", "kernel")
+DEFAULT_ENGINES: Tuple[str, ...] = ("sequential", "kernel")
 
 #: Default exploration cap — generously above the generator's typical
 #: state-space sizes, so truncation (and the skipped-scenario bucket) stays
@@ -70,7 +70,7 @@ DEFAULT_MAX_STATES = 200_000
 
 #: The engines whose infeasible-run visited counts are comparable
 #: (level-synchronous stop); ``sequential`` stops in discovery order.
-_LEVEL_SYNCHRONOUS = frozenset({"vectorized", "kernel", "kernel-replay"})
+_LEVEL_SYNCHRONOUS = frozenset({"kernel", "kernel-replay"})
 
 
 # -------------------------------------------------------------------- reports

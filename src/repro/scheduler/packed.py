@@ -162,7 +162,8 @@ class PackedSlotSystem:
         self._buf_shift = shift + occ_bits
         self._buf_field = (1 << n) - 1
         self.state_bits = self._buf_shift + n
-        #: ``uint64`` words needed to hold one packed state (vectorized engine).
+        #: ``uint64`` words needed to hold one packed state (word-row layout
+        #: of :meth:`pack_words`, the frontiers and the compiled graph).
         self.packed_words = max((self.state_bits + 63) // 64, 1)
 
         # ---- event bit-field layout ---------------------------------------
@@ -185,14 +186,11 @@ class PackedSlotSystem:
         self._subset_cache: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]] = {}
         self._indices_cache: Dict[int, Tuple[int, ...]] = {}
         self._successor_memo: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
-        # Per-state numpy successor rows for `successor_tables` (vectorized
-        # engine); same retention policy as the successor memo.
-        self._table_memo: Dict[int, tuple] = {}
         #: Compiled id-indexed CSR state graph of this system, built lazily
         #: by :func:`repro.verification.kernel.compiled_graph_for` and
         #: released together with the successor memo (:meth:`clear_memo`).
         self.compiled_graph = None
-        # Vectorized frontier-expansion kernel, built on first use (pure
+        # Native frontier-expansion kernel, built on first use (pure
         # configuration data, so it survives `clear_memo` like the block
         # memo does).
         self._expander: Optional[_FrontierExpander] = None
@@ -416,27 +414,6 @@ class PackedSlotSystem:
         return cached
 
     # ------------------------------------------------------- table export
-    def estimated_state_count(self) -> int:
-        """Cheap upper-bound estimate of the reachable state-space size.
-
-        Product of the per-application phase-space capacities times the
-        occupant and buffer-mask ranges.  The estimate over-counts (most
-        combinations are unreachable) but orders configurations correctly.
-        """
-        total = self._n + 1  # occupant
-        total *= 1 << self._n  # buffer member mask
-        for i in range(self._n):
-            phases = (
-                1  # Steady
-                + self._max_wait[i] + 2  # Waiting incl. the miss value
-                + (self._max_wait[i] + 1) * max(self._max_dwell[i])  # Holding
-                + max(self._inter_arrival[i] - 1, 0)  # ET_Safe recovery
-                + 1  # Done
-            )
-            budget = self._budget[i]
-            total *= phases * ((budget + 1) if budget is not None else 1)
-        return total
-
     def pack_words(self, states: Sequence[int]):
         """Split packed states into ``uint64`` word rows (most significant
         word first, so lexicographic row order equals numeric order).
@@ -474,8 +451,8 @@ class PackedSlotSystem:
 
         The block-table expansion kernel (:class:`_FrontierExpander`): one
         C loop over per-application XOR-delta block tables, no Python work
-        per state — the cold-exploration workhorse of the vectorized and
-        sequential engines.  The compiled kernel runs the same C loop inside
+        per state — the cold-exploration workhorse of the sequential
+        engine.  The compiled kernel runs the same C loop inside
         its fused level call (``nk_level``) instead.
 
         Args:
@@ -503,38 +480,40 @@ class PackedSlotSystem:
             raise SchedulingError(
                 "configuration too wide for the expansion kernel; "
                 "check can_expand_frontier and use successors()/"
-                "successor_tables_words() instead"
+                "successor_tables_words_origin() instead"
             )
         matrix = np.ascontiguousarray(word_matrix, dtype=np.uint64).reshape(
             -1, self.packed_words
         )
         return expander.expand(matrix)
 
-    def successor_tables_words(self, word_matrix):
+    def successor_tables_words_origin(self, word_matrix):
         """Successor tables of a frontier given as packed word rows.
 
-        Word-level counterpart of :meth:`successor_tables` — returns the
-        same ``(indptr, successors, masks, miss)`` tuple but takes (and
-        never converts to Python ints) a ``(count, packed_words)``
-        ``uint64`` frontier.  Runs on :meth:`expand_frontier` when the
-        configuration supports it and falls back to the per-state memoized
-        expansion otherwise.
-        """
-        return self.successor_tables_words_origin(word_matrix)[:4]
+        Returns ``(indptr, successors, masks, miss, origin)`` for the
+        ``(count, packed_words)`` ``uint64`` frontier, one row per
+        transition in :meth:`successors` order:
 
-    def successor_tables_words_origin(self, word_matrix):
-        """:meth:`successor_tables_words` plus the per-transition origin row.
+        * ``indptr`` (``int64``, ``count + 1``) delimits each state's
+          successor rows CSR-style,
+        * ``successors`` (``uint64``, ``(transitions, packed_words)``) holds
+          the packed successor states as word rows (see :meth:`pack_words`),
+        * ``masks`` (``uint64``) holds the arrival mask of each transition,
+        * ``miss`` (``bool``) flags transitions whose events contain a
+          deadline miss,
+        * ``origin`` (``int64``) is the frontier row each transition
+          expands, so engines that record parent links need no binary
+          search over ``indptr``.
 
-        ``origin[t]`` is the frontier row transition ``t`` expands — the
-        expansion kernel produces it for free, and engines that record
-        parent links use it directly instead of re-deriving parent rows
-        from ``indptr`` with a binary search per level.
+        Runs on :meth:`expand_frontier` when the configuration supports it;
+        otherwise the rows come from the memoized :meth:`successors` lists
+        of the frontier's states, one ``np.fromiter`` pass per column.
         """
         import numpy as np
 
+        count = word_matrix.shape[0]
         if self.can_expand_frontier:
             succ_words, events, origin = self.expand_frontier(word_matrix)
-            count = word_matrix.shape[0]
             indptr = np.zeros(count + 1, dtype=np.int64)
             np.cumsum(np.bincount(origin, minlength=count), out=indptr[1:])
             masks = (events >> np.uint64(self._ev_admitted_shift)) & np.uint64(
@@ -542,128 +521,31 @@ class PackedSlotSystem:
             )
             miss = (events & np.uint64(self.miss_field)) != 0
             return indptr, succ_words, masks, miss, origin
-        indptr, succ_words, masks, miss = self.successor_tables(
-            unpack_words(word_matrix)
-        )
-        origin = np.repeat(
-            np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr)
-        )
-        return indptr, succ_words, masks, miss, origin
-
-    def successor_tables(self, states: Sequence[int]):
-        """Export the successor lists of a state batch as numpy tables.
-
-        The workhorse of the vectorized exploration engine: for one BFS
-        level it returns ``(indptr, successors, masks, miss)`` where
-
-        * ``indptr`` (``int64``, ``len(states) + 1``) delimits each state's
-          successor rows CSR-style,
-        * ``successors`` (``uint64``, ``(transitions, packed_words)``) holds
-          the packed successor states as word rows (see :meth:`pack_words`),
-        * ``masks`` (``uint64``) holds the arrival mask of each transition,
-        * ``miss`` (``bool``) flags transitions whose events contain a
-          deadline miss.
-
-        The rows of uncached states are built *batched for the whole call*
-        (three ``np.fromiter`` passes over the flattened transition list per
-        word column, not three array constructions per state) and the
-        per-state slices are memoized alongside the :meth:`successors`
-        lists (same ``memo_limit`` policy), so a fully cold level costs one
-        batched pass and a warm level assembles with a handful of
-        ``concatenate`` calls — no per-transition Python work either way.
-        """
-        import numpy as np
 
         words = self.packed_words
-        memo = self._table_memo
-        memo_limit = self._memo_limit
-
-        normalized: List[int] = []
-        missing: List[int] = []
-        seen_missing = set()
-        for state in states:
-            state = int(state)
-            normalized.append(state)
-            if state not in memo and state not in seen_missing:
-                seen_missing.add(state)
-                missing.append(state)
-
-        local: Dict[int, tuple] = {}
-        if missing:
-            if self.can_expand_frontier:
-                # Vectorized block-table kernel: the whole uncached batch
-                # expands in one pass, no per-state Python work at all.
-                offsets, succ_matrix, masks, miss = self.successor_tables_words(
-                    self.pack_words(missing)
-                )
-            else:
-                from itertools import chain
-
-                successors = self.successors
-                miss_field = self.miss_field
-                word_mask = (1 << 64) - 1
-                entry_lists = [successors(state) for state in missing]
-                counts = [len(entries) for entries in entry_lists]
-                total = sum(counts)
-                flat = list(chain.from_iterable(entry_lists))
-                succ_matrix = np.empty((total, words), dtype=np.uint64)
-                if words == 1:
-                    succ_matrix[:, 0] = np.fromiter(
-                        (entry[1] for entry in flat), dtype=np.uint64, count=total
-                    )
-                else:
-                    for j in range(words):
-                        shift = 64 * (words - 1 - j)
-                        succ_matrix[:, j] = np.fromiter(
-                            ((entry[1] >> shift) & word_mask for entry in flat),
-                            dtype=np.uint64,
-                            count=total,
-                        )
-                masks = np.fromiter(
-                    (entry[0] for entry in flat), dtype=np.uint64, count=total
-                )
-                miss = np.fromiter(
-                    (bool(entry[2] & miss_field) for entry in flat),
-                    dtype=bool,
-                    count=total,
-                )
-                offsets = np.zeros(len(missing) + 1, dtype=np.int64)
-                np.cumsum(counts, out=offsets[1:])
-            if len(missing) == len(normalized):
-                # Fast path: every requested state was uncached and unique
-                # (the cold BFS level) — the batch arrays already are the
-                # answer, in order; memoize the row slices and return.
-                for index, state in enumerate(missing):
-                    if len(memo) >= memo_limit:
-                        break
-                    low, high = offsets[index], offsets[index + 1]
-                    memo[state] = (
-                        succ_matrix[low:high],
-                        masks[low:high],
-                        miss[low:high],
-                    )
-                return offsets, succ_matrix, masks, miss
-            for index, state in enumerate(missing):
-                low, high = offsets[index], offsets[index + 1]
-                rows = (succ_matrix[low:high], masks[low:high], miss[low:high])
-                local[state] = rows
-                if len(memo) < memo_limit:
-                    memo[state] = rows
-
-        row_tables = [
-            memo[state] if state in memo else local[state] for state in normalized
-        ]
-        indptr = np.zeros(len(normalized) + 1, dtype=np.int64)
-        np.cumsum([table[1].shape[0] for table in row_tables], out=indptr[1:])
-        if row_tables:
-            succ_matrix = np.concatenate([table[0] for table in row_tables])
-            masks = np.concatenate([table[1] for table in row_tables])
-            miss = np.concatenate([table[2] for table in row_tables])
-        else:
-            succ_matrix = np.empty((0, words), dtype=np.uint64)
-            masks = np.empty(0, dtype=np.uint64)
-            miss = np.empty(0, dtype=bool)
-        return indptr, succ_matrix, masks, miss
+        word_mask = (1 << 64) - 1
+        entry_lists = [self.successors(state) for state in unpack_words(word_matrix)]
+        counts = [len(entries) for entries in entry_lists]
+        total = sum(counts)
+        flat = list(itertools.chain.from_iterable(entry_lists))
+        succ_words = np.empty((total, words), dtype=np.uint64)
+        for j in range(words):
+            shift = 64 * (words - 1 - j)
+            succ_words[:, j] = np.fromiter(
+                ((entry[1] >> shift) & word_mask for entry in flat),
+                dtype=np.uint64,
+                count=total,
+            )
+        masks = np.fromiter((entry[0] for entry in flat), dtype=np.uint64, count=total)
+        miss = np.fromiter(
+            (bool(entry[2] & self.miss_field) for entry in flat),
+            dtype=bool,
+            count=total,
+        )
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        origin = np.repeat(np.arange(count, dtype=np.int64), counts)
+        return indptr, succ_words, masks, miss, origin
 
     def clear_memo(self) -> None:
         """Drop the memoized successor table (frees memory after a search).
@@ -677,7 +559,6 @@ class PackedSlotSystem:
         engine follows the same policy and is dropped here too.
         """
         self._successor_memo.clear()
-        self._table_memo.clear()
         self.compiled_graph = None
 
     def clear_expansion_tables(self) -> None:

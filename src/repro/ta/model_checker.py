@@ -10,9 +10,8 @@ The search itself is delegated to the pluggable exploration engines of
 :mod:`repro.verification.engine`: the default sequential BFS reproduces the
 original deque-based loop state for state, and another engine can be
 selected per checker (``engine=`` argument) or globally
-(``REPRO_VERIFICATION_ENGINE``).  The numpy-vectorized engine only applies
-to packed slot systems and is rejected for TA networks; the compiled
-state-graph kernel (``engine="kernel"``) *is* supported — the checker owns
+(``REPRO_VERIFICATION_ENGINE``).  The compiled state-graph kernel
+(``engine="kernel"``) runs TA networks too — the checker owns
 a per-instance graph cache, so the network's state graph is expanded once
 and every further query (error reachability, invariants, state counting,
 any predicate) replays the compiled id graph without re-running a single

@@ -7,17 +7,11 @@ Engine selection
 
 Every reachability search in this package (and in
 :mod:`repro.ta.model_checker`) runs on a pluggable exploration engine from
-:mod:`repro.verification.engine`.  Three engines exist:
+:mod:`repro.verification.engine`.  Two engines exist:
 
 * ``"sequential"`` — :class:`~repro.verification.engine.SequentialPackedEngine`,
   the frontier-batched single-process BFS.  Lowest constant factor, fully
   deterministic, the reference implementation.
-* ``"vectorized"`` — :class:`~repro.verification.engine.VectorizedEngine`,
-  numpy ``uint64`` frontiers over the packed integer states, driven by the
-  successor tables exported by
-  :meth:`repro.scheduler.packed.PackedSlotSystem.successor_tables`, with an
-  open-addressing hash visited set (:mod:`repro.verification.kernel`).
-  Packed slot systems only.
 * ``"kernel"`` — :class:`~repro.verification.engine.CompiledKernelEngine`,
   the compiled state-graph kernel: the first exploration interns every
   discovered state into a dense ``int32`` id and compiles the transition
@@ -34,7 +28,7 @@ Selection is per call site (``engine=`` argument on
 through the ``REPRO_VERIFICATION_ENGINE`` environment variable.  The default
 ``"auto"`` picks the compiled kernel for every packed system the frontier
 expansion supports (the graph is compiled during the first exploration and
-replayed afterwards) and the sequential engine otherwise.  All engines
+replayed afterwards) and the sequential engine otherwise.  Both engines
 explore the identical state space — identical visited counts on feasible instances and, on every *complete* (non-
 truncated) run, identical verdicts and witness depths.  A run truncated by
 ``max_states`` only vouches for the part it explored, and the engines cap
@@ -53,7 +47,6 @@ from .engine import (
     GenericSource,
     PackedStateSource,
     SequentialPackedEngine,
-    VectorizedEngine,
     resolve_engine,
 )
 from .exhaustive import DEFAULT_MAX_STATES, ExhaustiveVerifier, verify_slot_sharing
@@ -106,7 +99,6 @@ __all__ = [
     "ExplorationEngine",
     "ExplorationOutcome",
     "SequentialPackedEngine",
-    "VectorizedEngine",
     "CompiledKernelEngine",
     "PackedStateSource",
     "GenericSource",

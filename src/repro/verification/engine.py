@@ -21,7 +21,7 @@ The pieces:
 * :class:`ExplorationOutcome` — visited count, truncation flag, error
   witness (parent state + label + error state) and the predecessor store
   needed to rebuild shortest counterexample traces.
-* Three engines:
+* Two engines:
 
   - :class:`SequentialPackedEngine` — the original verifier's BFS,
     extracted; its packed path now expands levels through the native
@@ -29,11 +29,6 @@ The pieces:
     :meth:`~repro.verification.kernel.PackedStateTable.intern_dedup` pass
     while keeping the per-state loop's exact semantics (discovery-order
     stops, mid-level cap).  Deterministic, the reference implementation.
-  - :class:`VectorizedEngine` — word-matrix frontiers over the packed
-    integer states.  Each level expands through the native block-table kernel
-    (:meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier`) and
-    the per-level set work is one fused dedupe–intern pass over an
-    open-addressing hash table (:mod:`repro.verification.kernel`).
   - :class:`CompiledKernelEngine` — the compiled state-graph kernel
     (:mod:`repro.verification.kernel`): discovered states intern into
     dense ``int32`` ids backing id-indexed CSR transition arrays, compiled
@@ -42,7 +37,7 @@ The pieces:
     state.  Handles packed *and* generic sources.
 
 * :func:`resolve_engine` — turns a spec string (``"auto"``,
-  ``"sequential"``, ``"vectorized"``, ``"kernel"``), the
+  ``"sequential"``, ``"kernel"``), the
   ``REPRO_VERIFICATION_ENGINE`` environment variable or an engine instance
   into an engine: ``"auto"`` runs expandable packed systems on the kernel
   (replaying an already-compiled graph) and everything else sequential.
@@ -50,24 +45,24 @@ The pieces:
 Semantics shared by all engines
 -------------------------------
 
-All engines explore the same breadth-first level structure, so on a
-*feasible* (error-free) state space every engine reports the identical
-visited count, and on an infeasible one every engine finds an error at the
-same minimal BFS depth (witness traces have identical length).  The engines
-differ only in *when inside a level* they stop:
+Both engines explore the same breadth-first level structure, so on a
+*feasible* (error-free) state space they report the identical visited
+count, and on an infeasible one they find an error at the same minimal BFS
+depth (witness traces have identical length).  They differ only in *when
+inside a level* they stop:
 
 * the sequential engine stops at the first error transition in discovery
   order (matching the original verifier state counts exactly);
-* the vectorized and kernel engines finish the level they are expanding
-  (that is what makes their counts deterministic) and report a
-  deterministically chosen error of that level, so their visited counts
-  on infeasible instances can differ from the sequential engine's — the
-  verdict and the witness depth never do.
+* the kernel engine finishes the level it is expanding (that is what
+  makes its counts deterministic) and reports a deterministically chosen
+  error of that level, so its visited counts on infeasible instances can
+  differ from the sequential engine's — the verdict and the witness depth
+  never do.
 
 Truncation: every engine keeps the visited set within ``max_states``.  The
 sequential engine stops at exactly the cap mid-level; the level-synchronous
-engines trim the candidates of the level that would cross the
-cap, so they may stop slightly below it (still deterministically).  Because
+kernel trims the candidates of the level that would cross the
+cap, so it may stop slightly below it (still deterministically).  Because
 the engines cap at different points within a level, a *truncated* run's
 verdict only covers the part that engine explored — one engine may reach an
 error transition just beyond another's cutoff.  The equivalence guarantees
@@ -110,7 +105,7 @@ Label = Hashable
 ENGINE_ENV_VAR = "REPRO_VERIFICATION_ENGINE"
 
 #: The engine spec strings :func:`resolve_engine` accepts.
-ENGINE_SPECS = ("auto", "sequential", "vectorized", "kernel")
+ENGINE_SPECS = ("auto", "sequential", "kernel")
 
 
 # --------------------------------------------------------------------- sources
@@ -243,7 +238,7 @@ class ExplorationEngine(Protocol):
 class SequentialPackedEngine:
     """The original frontier-batched BFS, extracted from the verifier.
 
-    On packed sources whose configuration supports the vectorized
+    On packed sources whose configuration supports the native
     block-table kernel, each BFS level expands through
     :meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier` and
     dedupes through the fused
@@ -473,119 +468,6 @@ class SequentialPackedEngine:
         )
 
 
-# ----------------------------------------------------------------- vectorized
-class VectorizedEngine:
-    """Numpy-frontier BFS over packed integer states.
-
-    Each BFS level expands through the native block-table kernel
-    (:meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier`, via
-    ``successor_tables_words``) on ``uint64`` word rows — states wider than
-    64 bits simply use several words, and packed states never round-trip
-    through Python ints unless a predecessor store or error witness is
-    requested.  The per-level set work is batched too: the successor
-    multiset deduplicates inside the probe loop of the open-addressing
-    :class:`~repro.verification.kernel.PackedStateTable`, so
-    membership-plus-insert of a level is one native hash-table pass,
-    amortized O(1) per state.  Only packed sources are supported.
-    """
-
-    name = "vectorized"
-
-    def explore(
-        self,
-        source: TransitionSource,
-        max_states: int,
-        with_parents: bool = True,
-    ) -> ExplorationOutcome:
-        if getattr(source, "kind", "generic") != "packed":
-            raise VerificationError(
-                "the vectorized engine requires a packed slot-system source; "
-                "use the sequential or kernel engine for generic "
-                "state spaces"
-            )
-        import numpy as np
-
-        from .kernel import PackedStateTable, unpack_words
-
-        system = source.system
-        max_states = int(max_states)
-        words = system.packed_words
-
-        root = source.initial
-        frontier_words = system.pack_words([root])
-        # Packed ints of the current frontier, kept only while a
-        # predecessor store is being built (the dict keys are ints).
-        frontier_ints: Optional[List[int]] = [root] if with_parents else None
-        visited = PackedStateTable(words)
-        visited.intern(frontier_words)
-        visited_count = 1
-        parents: Optional[Dict[int, Tuple[int, int]]] = {} if with_parents else None
-        truncated = False
-        levels = 0
-        error: Optional[Tuple[int, int, int]] = None
-
-        while frontier_words.shape[0]:
-            indptr, succ_words, masks, miss, origin = (
-                system.successor_tables_words_origin(frontier_words)
-            )
-            levels += 1
-            if miss.any():
-                # Deterministic witness: the minimal (parent, mask) pair of
-                # this level, matching the kernel engine's choice.
-                rows = np.flatnonzero(miss)
-                parent_rows = origin[rows]
-                candidates = []
-                for row, parent_row in zip(rows.tolist(), parent_rows.tolist()):
-                    parent = unpack_words(
-                        frontier_words[parent_row : parent_row + 1]
-                    )[0]
-                    succ = unpack_words(succ_words[row : row + 1])[0]
-                    candidates.append((parent, int(masks[row]), succ))
-                error = min(candidates, key=lambda e: (e[0], e[1]))
-                break
-
-            if succ_words.shape[0] == 0:
-                break
-            # Fused dedupe–intern: one batched hash-table pass replaces the
-            # np.unique staging; the returned first-occurrence rows come
-            # ordered by the (value-ascending) new ids, reproducing the old
-            # sorted-unique frontier (and its deterministic truncation
-            # prefix) exactly.
-            _, _, new_rows = visited.intern_dedup(succ_words)
-            if new_rows.shape[0] == 0:
-                break
-            remaining = max_states - visited_count
-            if new_rows.shape[0] >= remaining:
-                truncated = True
-                new_rows = new_rows[:remaining]
-            new_frontier_words = succ_words[new_rows]
-            if parents is not None:
-                new_ints = unpack_words(new_frontier_words)
-                parent_rows = origin[new_rows]
-                new_masks = masks[new_rows].tolist()
-                for state, parent_row, mask in zip(
-                    new_ints, parent_rows.tolist(), new_masks
-                ):
-                    parents[state] = (frontier_ints[parent_row], int(mask))
-                frontier_ints = new_ints
-            visited_count += new_frontier_words.shape[0]
-            frontier_words = new_frontier_words
-            if truncated:
-                break
-
-        return ExplorationOutcome(
-            engine=self.name,
-            visited_count=visited_count,
-            truncated=truncated,
-            error_found=error is not None,
-            error_parent=error[0] if error else None,
-            error_label=error[1] if error else None,
-            error_state=error[2] if error else None,
-            levels=levels,
-            parents=parents,
-        )
-
-
 # -------------------------------------------------------------------- kernel
 class CompiledKernelEngine:
     """Compiled state-graph kernel: intern once, replay forever.
@@ -607,9 +489,9 @@ class CompiledKernelEngine:
     invariant and state-count queries against the same network all replay
     one compiled graph.
 
-    Semantics are level-synchronous, exactly like the vectorized engine
-    (identical counts on feasible complete runs, same witness depth on
-    infeasible ones, deterministic sorted-prefix truncation).
+    Semantics are level-synchronous: identical counts to the sequential
+    engine on feasible complete runs, the same witness depth on infeasible
+    ones, deterministic sorted-prefix truncation.
     """
 
     name = "kernel"
@@ -685,22 +567,9 @@ def resolve_engine(
         if isinstance(spec, ExplorationEngine):
             return spec
         raise VerificationError(f"not an exploration engine or spec: {spec!r}")
-    from_env = spec is None
     if spec is None:
         spec = os.environ.get(ENGINE_ENV_VAR) or "auto"
     normalized = spec.strip().lower()
-
-    if (
-        from_env
-        and normalized == "vectorized"
-        and source is not None
-        and getattr(source, "kind", "generic") != "packed"
-    ):
-        # The global env knob targets the packed verifiers; generic state
-        # spaces (TA networks) cannot run vectorized, so degrade gracefully
-        # instead of crashing every model-checker query.  An explicit
-        # engine="vectorized" argument still raises in explore().
-        return SequentialPackedEngine()
 
     if normalized == "auto":
         if source is not None and getattr(source, "kind", "generic") == "packed":
@@ -722,8 +591,6 @@ def resolve_engine(
         return SequentialPackedEngine()
     if normalized == "sequential":
         return SequentialPackedEngine()
-    if normalized == "vectorized":
-        return VectorizedEngine()
     if normalized == "kernel":
         return CompiledKernelEngine()
     raise VerificationError(

@@ -22,8 +22,8 @@ itself is delegated to a pluggable engine
 (:mod:`repro.verification.engine`): by default the compiled state-graph
 kernel, which caches the explored graph per configuration and replays warm
 re-verifications without re-expanding; the sequential frontier-batched BFS
-or a numpy-vectorized frontier on request (``engine=`` argument or the
-``REPRO_VERIFICATION_ENGINE`` environment variable).  The tuple-based
+on request (``engine=`` argument or the ``REPRO_VERIFICATION_ENGINE``
+environment variable).  The tuple-based
 :func:`repro.scheduler.slot_system.advance` stays the semantic single source
 of truth — the packed transition is cross-checked against it exhaustively by
 the test suite — and is still used to replay counterexample traces.

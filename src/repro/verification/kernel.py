@@ -3,9 +3,9 @@
 The engines of :mod:`repro.verification.engine` repeatedly pay two costs
 that this module eliminates:
 
-* **Per-state Python objects in the set work.**  The vectorized engine's
-  visited set was a sorted ``uint64`` array re-built with ``np.insert``
-  every BFS level — O(n) per level, quadratic over a run.
+* **Per-state Python objects in the set work.**  A sorted ``uint64``
+  visited array re-built with ``np.insert`` every BFS level costs O(n) per
+  level, quadratic over a run.
   :class:`PackedStateTable` replaces it with an open-addressing hash table
   (numpy arrays, power-of-two capacity, linear probing in the C loop of
   :mod:`repro._native`): membership and insert are amortized O(1) per key,
@@ -40,9 +40,9 @@ state -> (parent state, label)``), so trace reconstruction works unchanged,
 plus an ``arrival_chain`` fast path that walks ids instead of hashing
 packed ints.
 
-Exploration semantics mirror the level-synchronous vectorized engine:
-identical visited counts on feasible complete runs, identical
-error depth on infeasible ones, deterministic truncation by sorted order
+Exploration is level-synchronous: identical visited counts to the
+sequential engine on feasible complete runs, identical error depth on
+infeasible ones, deterministic truncation by sorted order
 within the level that would cross ``max_states`` (see the semantics notes
 in :mod:`repro.verification.engine`).
 """
@@ -153,7 +153,7 @@ class PackedStateTable:
     ``intern`` requires the batch itself to be duplicate-free;
     :meth:`intern_dedup` accepts arbitrary duplicate-laden batches and
     dedupes them *inside* the probe loop — the per-level set operation of
-    the vectorized and sequential engines.  ``lookup`` and
+    the sequential engine and of the compiled graph's error levels.  ``lookup`` and
     ``contains`` accept anything.  :class:`CompiledStateGraph` does not
     call them per level: its ``nk_level`` call probes, claims and numbers
     a level's successors in this table's arrays itself, with

@@ -58,8 +58,8 @@ class VerificationResult:
             breadth-first level structure, so on feasible complete runs the
             count is engine-independent; they differ in when *inside* a
             level they stop.  ``"level-synchronous"`` — the canonical
-            semantics of the compiled-kernel and vectorized engines (and
-            hence of ``engine="auto"`` on packed sources): the level that
+            semantics of the compiled-kernel engine (and hence of
+            ``engine="auto"`` on packed sources): the level that
             found the error is counted in full, making the number
             deterministic.
             ``"discovery-order"`` — the sequential reference engine stops

@@ -1,13 +1,14 @@
-"""Frontier-level equivalence tests for the vectorized expansion kernel.
+"""Frontier-level equivalence tests for the native expansion kernel.
 
 ``PackedSlotSystem.expand_frontier`` must reproduce the memoized per-state
 ``successors()`` expansion *exactly* — successor states, full event bit
-fields and transition order — because the compiled-kernel, vectorized and
-sequential engines all run on it while ``successors()`` (itself cross-checked
+fields and transition order — because the compiled-kernel and sequential
+engines both run on it while ``successors()`` (itself cross-checked
 against the tuple semantics in ``test_packed_state.py``) stays the
 reference.  Covered here: randomized configurations, instance budgets,
 multi-word (>64-bit) states, collision-heavy arrival subsets (many
-simultaneously eligible applications) and the word-level successor tables.
+simultaneously eligible applications) and the word-level successor tables
+of configurations the kernel cannot expand.
 """
 
 from __future__ import annotations
@@ -166,32 +167,6 @@ class TestExpandFrontierEquivalence:
 
 
 class TestSuccessorTableFronts:
-    def test_successor_tables_words_matches_int_tables(
-        self, small_profile, second_small_profile
-    ):
-        config = SlotSystemConfig.from_profiles((small_profile, second_small_profile))
-        system = PackedSlotSystem(config)
-        states = collect_states(system, cap=600)
-        indptr_w, succ_w, masks_w, miss_w = system.successor_tables_words(
-            system.pack_words(states)
-        )
-        system.clear_memo()
-        indptr_i, succ_i, masks_i, miss_i = system.successor_tables(states)
-        assert (indptr_w == indptr_i).all()
-        assert (succ_w == succ_i).all()
-        assert (masks_w == masks_i).all()
-        assert (miss_w == miss_i).all()
-
-    def test_successor_tables_memo_round_trip(self, small_profile):
-        """Warm (memoized) successor tables equal the cold vectorized pass."""
-        config = SlotSystemConfig.from_profiles((small_profile,), {"A": 2})
-        system = PackedSlotSystem(config)
-        states = collect_states(system, cap=200)
-        cold = system.successor_tables(states)
-        warm = system.successor_tables(states)
-        for a, b in zip(cold, warm):
-            assert (a == b).all()
-
     def test_events_from_bits_round_trip(self, small_profile, second_small_profile):
         """Vectorized event fields decode into the tuple-based StepEvents."""
         config = SlotSystemConfig.from_profiles((small_profile, second_small_profile))
@@ -209,17 +184,43 @@ class TestSuccessorTableFronts:
 
 
 class TestExpanderGuards:
-    def test_wide_configuration_falls_back(self, small_profile, monkeypatch):
+    def test_wide_configuration_falls_back(
+        self, small_profile, second_small_profile, tight_profile, monkeypatch
+    ):
         """Configurations rejected by the kernel raise from expand_frontier
-        but keep working through successor_tables_words."""
-        system = PackedSlotSystem(SlotSystemConfig.from_profiles((small_profile,)))
-        expander = system._frontier_expander()
-        monkeypatch.setattr(expander, "ok", False)
-        assert not system.can_expand_frontier
-        with pytest.raises(SchedulingError):
-            system.expand_frontier(system.pack_words([system.initial]))
-        indptr, succ, masks, miss = system.successor_tables_words(
-            system.pack_words([system.initial])
-        )
-        assert indptr[-1] == len(system.successors(system.initial))
-        assert not miss.any()
+        but keep working through successor_tables_words_origin, whose rows
+        then come from successors(): one-word states with misses and
+        multi-word states."""
+        wide = random_profiles(np.random.default_rng(42), 3, wide=True)
+        configs = [
+            SlotSystemConfig.from_profiles(
+                (small_profile, second_small_profile, tight_profile)
+            ),
+            SlotSystemConfig.from_profiles(wide, {p.name: 1 for p in wide}),
+        ]
+        saw_miss = False
+        for config in configs:
+            system = PackedSlotSystem(config)
+            states = collect_states(system, cap=300)
+            monkeypatch.setattr(system._frontier_expander(), "ok", False)
+            assert not system.can_expand_frontier
+            with pytest.raises(SchedulingError):
+                system.expand_frontier(system.pack_words(states))
+            indptr, succ, masks, miss, origin = (
+                system.successor_tables_words_origin(system.pack_words(states))
+            )
+            assert succ.shape[1] == system.packed_words
+            succ_ints = unpack_words(succ)
+            row = 0
+            for index, state in enumerate(states):
+                assert indptr[index] == row
+                for mask, successor, event_bits in system.successors(state):
+                    assert succ_ints[row] == successor
+                    assert masks[row] == mask
+                    assert miss[row] == bool(event_bits & system.miss_field)
+                    assert origin[row] == index
+                    row += 1
+            assert indptr[-1] == row == len(succ_ints)
+            saw_miss |= bool(miss.any())
+        assert system.packed_words > 1
+        assert saw_miss

@@ -22,7 +22,7 @@ from repro.scheduler.baseline import dimension_baseline
 from repro.service import ServiceClient, VerificationService
 from repro.verification import instance_budgets, verify_slot_sharing
 
-ENGINES = ("sequential", "kernel", "auto", "vectorized")
+ENGINES = ("sequential", "kernel", "auto")
 
 SLOT_S1 = ("C1", "C5", "C4", "C3")
 S1_ACCELERATED_STATES = 145_373

@@ -1,7 +1,7 @@
 """Cross-engine equivalence tests for the pluggable exploration engines.
 
 Every engine must explore the identical state space: on feasible systems the
-visited counts of the sequential, vectorized and kernel engines are equal
+visited counts of the sequential and kernel engines are equal
 state for state (the sequential engine is itself cross-checked against the
 tuple semantics in ``tests/scheduler/test_packed_state.py``), and on
 infeasible systems all engines must agree on the verdict and find an error
@@ -22,14 +22,13 @@ from repro.verification import (
     ExplorationOutcome,
     PackedStateSource,
     SequentialPackedEngine,
-    VectorizedEngine,
     instance_budgets,
     resolve_engine,
     verify_slot_sharing,
 )
 from repro.verification.engine import GenericSource
 
-ENGINE_SPECS = ["sequential", "vectorized", "kernel"]
+ENGINE_SPECS = ["sequential", "kernel"]
 
 
 def _engine_of(spec: str):
@@ -42,7 +41,7 @@ def _explore(spec, config, with_parents=True, max_states=5_000_000) -> Explorati
 
 
 class TestEngineEquivalence:
-    """Exhaustive small-system cross-checks over all three engines."""
+    """Exhaustive small-system cross-checks over both engines."""
 
     def _feasible_configs(self, small_profile, second_small_profile):
         pair = (small_profile, second_small_profile)
@@ -122,7 +121,7 @@ class TestEngineEquivalence:
         assert result.feasible == reference.feasible is True
         assert result.explored_states == reference.explored_states
 
-    def test_multiword_states_round_trip_through_vectorized_engine(self):
+    def test_multiword_states_round_trip_through_kernel_engine(self):
         """Profiles wide enough to exceed one 64-bit word must still explore
         identically (exercises the multi-word frontier path)."""
         wide = [
@@ -139,10 +138,9 @@ class TestEngineEquivalence:
         assert PackedSlotSystem(config).packed_words > 1
         reference = _explore("sequential", config)
         assert reference.feasible
-        for spec in ("vectorized", "kernel"):
-            outcome = _explore(spec, config)
-            assert outcome.feasible, spec
-            assert outcome.visited_count == reference.visited_count, spec
+        outcome = _explore("kernel", config)
+        assert outcome.feasible
+        assert outcome.visited_count == reference.visited_count
 
 
 class TestTwoWordCaseStudySlot:
@@ -162,10 +160,9 @@ class TestTwoWordCaseStudySlot:
         assert PackedSlotSystem(config).packed_words == 2
         reference = _explore("sequential", config)
         assert not reference.feasible
-        for spec in ("vectorized", "kernel"):
-            outcome = _explore(spec, config)
-            assert not outcome.feasible, spec
-            assert outcome.levels == reference.levels, spec
+        outcome = _explore("kernel", config)
+        assert not outcome.feasible
+        assert outcome.levels == reference.levels
 
     def test_kernel_counterexample_replays_to_a_miss(self, case_study_profiles):
         slot, budget = self._slot(case_study_profiles)
@@ -198,8 +195,6 @@ class TestEngineSemantics:
             assert 0 < outcome.visited_count <= 40, spec
         sequential = _explore("sequential", config, with_parents=False, max_states=40)
         assert sequential.visited_count == 40
-        vectorized = _explore("vectorized", config, with_parents=False, max_states=40)
-        assert vectorized.visited_count == 40
         kernel = _explore("kernel", config, with_parents=False, max_states=40)
         assert kernel.visited_count == 40
 
@@ -225,11 +220,6 @@ class TestEngineSemantics:
         for spec in ENGINE_SPECS:
             outcome = _explore(spec, config, with_parents=False)
             assert outcome.parents is None, spec
-
-    def test_vectorized_rejects_generic_sources(self):
-        source = GenericSource(initial=0, successors=lambda s: [], is_error=lambda s: False)
-        with pytest.raises(VerificationError):
-            VectorizedEngine().explore(source, max_states=10)
 
     def test_generic_source_exploration(self):
         """A tiny explicit graph: engines agree on counts and witness."""
@@ -311,7 +301,6 @@ class TestSequentialBatchedPath:
 class TestEngineSelection:
     def test_spec_strings_resolve(self):
         assert isinstance(resolve_engine("sequential"), SequentialPackedEngine)
-        assert isinstance(resolve_engine("vectorized"), VectorizedEngine)
         assert isinstance(resolve_engine("kernel"), CompiledKernelEngine)
 
     def test_engine_instances_pass_through(self):
@@ -319,41 +308,25 @@ class TestEngineSelection:
         assert resolve_engine(engine) is engine
 
     def test_invalid_specs_rejected(self, monkeypatch):
-        # Unknown specs, and the removed sharded engine, raise with a
-        # message that lists every remaining spec.
-        for spec in ("warp-drive", "sharded", "sharded:2", "sharded:many"):
+        # Unknown specs, and the removed sharded and vectorized engines,
+        # raise with a message that lists every remaining spec.
+        for spec in ("warp-drive", "sharded", "sharded:2", "sharded:many", "vectorized"):
             with pytest.raises(VerificationError) as raised:
                 resolve_engine(spec)
-            for name in ("auto", "sequential", "vectorized", "kernel"):
+            for name in ("auto", "sequential", "kernel"):
                 assert repr(name) in str(raised.value), (spec, name)
-        monkeypatch.setenv(ENGINE_ENV_VAR, "sharded")
-        with pytest.raises(VerificationError, match="'kernel'"):
-            resolve_engine()
+        for spec in ("sharded", "vectorized"):
+            monkeypatch.setenv(ENGINE_ENV_VAR, spec)
+            with pytest.raises(VerificationError, match="'auto', 'sequential', 'kernel'"):
+                resolve_engine()
 
     def test_env_var_override(self, small_profile, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vectorized")
+        monkeypatch.setenv(ENGINE_ENV_VAR, "kernel")
         result = verify_slot_sharing([small_profile], with_counterexample=False)
-        assert result.method == "exhaustive[vectorized]"
+        assert result.method == "exhaustive[kernel]"
         monkeypatch.setenv(ENGINE_ENV_VAR, "sequential")
         result = verify_slot_sharing([small_profile], with_counterexample=False)
         assert result.method == "exhaustive"
-
-    def test_env_vectorized_degrades_for_generic_sources(
-        self, small_profile, monkeypatch
-    ):
-        """The global env knob must not crash TA model-checker queries: the
-        vectorized engine only applies to packed sources, so env-derived
-        specs fall back to sequential for generic state spaces."""
-        from repro.ta import ModelChecker
-        from repro.verification import SlotSharingModelBuilder
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vectorized")
-        network = SlotSharingModelBuilder([small_profile]).build()
-        result = ModelChecker(network).error_reachable(with_trace=False)
-        assert not result.reachable
-        # An explicit engine choice still fails loudly.
-        with pytest.raises(VerificationError):
-            ModelChecker(network, engine="vectorized").error_reachable(with_trace=False)
 
     def test_auto_compiles_kernel_graph_for_packed_sources(self, small_profile):
         # "auto" defaults packed sources to the compiled kernel: the first
@@ -369,18 +342,3 @@ class TestEngineSelection:
         expander.ok = False  # simulate a configuration too wide for the kernel
         source = PackedStateSource(system)
         assert isinstance(resolve_engine("auto", source=source), SequentialPackedEngine)
-
-    def test_estimated_state_count_orders_configurations(
-        self, small_profile, second_small_profile, case_study_profiles
-    ):
-        small = PackedSlotSystem(SlotSystemConfig.from_profiles((small_profile,)))
-        pair = PackedSlotSystem(
-            SlotSystemConfig.from_profiles((small_profile, second_small_profile))
-        )
-        slot1 = PackedSlotSystem(
-            SlotSystemConfig.from_profiles(
-                [case_study_profiles[n] for n in ("C1", "C5", "C4", "C3")]
-            )
-        )
-        assert small.estimated_state_count() < pair.estimated_state_count()
-        assert pair.estimated_state_count() < slot1.estimated_state_count()
