@@ -128,8 +128,7 @@ def default_admission_test(
             spans one admission test, but the kernel's compiled state graph
             lives on the shared per-configuration packed system, so a
             re-probed configuration replays its frozen graph instead of
-            re-exploring — and the default ``"auto"`` spec upgrades to the
-            replay automatically once a configuration's graph is compiled.
+            re-exploring — and the default ``"auto"`` spec is the kernel.
         graph_dir: optional directory of serialized compiled state graphs
             forwarded to the verifier (``REPRO_GRAPH_DIR`` also applies):
             admission tests of configurations verified by *other*

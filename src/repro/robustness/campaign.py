@@ -44,7 +44,6 @@ from ..verification.acceleration import instance_budgets
 from ..verification.engine import (
     CompiledKernelEngine,
     ExplorationOutcome,
-    PackedStateSource,
     resolve_engine,
 )
 from ..verification.spec import standard_spec_bundle
@@ -218,16 +217,14 @@ def _explore_all(
     config = SlotSystemConfig.from_profiles(profiles, budget)
     outcomes: Dict[str, ExplorationOutcome] = {}
     for spec in engines:
-        source = PackedStateSource(packed_system_for(config))
-        engine = resolve_engine(spec, source, max_states)
-        outcomes[spec] = engine.explore(source, max_states, with_parents=False)
+        outcomes[spec] = resolve_engine(spec).explore(
+            packed_system_for(config), max_states, with_parents=False
+        )
     if "kernel" in engines:
         # Second kernel pass: the graph compiled above must replay frozen
         # to the identical outcome.
-        source = PackedStateSource(packed_system_for(config))
-        engine = resolve_engine("kernel", source, max_states)
-        outcomes["kernel-replay"] = engine.explore(
-            source, max_states, with_parents=False
+        outcomes["kernel-replay"] = CompiledKernelEngine().explore(
+            packed_system_for(config), max_states, with_parents=False
         )
     return outcomes
 
@@ -507,9 +504,7 @@ def _scenario_spec_verdicts(
     system = packed_system_for(config)
     graph = system.compiled_graph
     if graph is None or not (graph.complete or graph.error is not None):
-        CompiledKernelEngine().explore(
-            PackedStateSource(system), max_states, with_parents=False
-        )
+        CompiledKernelEngine().explore(system, max_states, with_parents=False)
         graph = system.compiled_graph
     bundle = standard_spec_bundle(profiles)
     if graph is None or not (graph.complete or graph.error is not None):

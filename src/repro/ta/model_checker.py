@@ -6,16 +6,10 @@ state" (Sec. 4).  This module provides that query — plus generic
 predicate-reachability and invariant checking — over the discrete-time
 network semantics of :mod:`repro.ta.network`.
 
-The search itself is delegated to the pluggable exploration engines of
-:mod:`repro.verification.engine`: the default sequential BFS reproduces the
-original deque-based loop state for state, and another engine can be
-selected per checker (``engine=`` argument) or globally
-(``REPRO_VERIFICATION_ENGINE``).  The compiled state-graph kernel
-(``engine="kernel"``) runs TA networks too — the checker owns
-a per-instance graph cache, so the network's state graph is expanded once
-and every further query (error reachability, invariants, state counting,
-any predicate) replays the compiled id graph without re-running a single
-``successors`` call.
+The search is the checker's own breadth-first loop over network states.
+It shares no code with the packed-state engines of
+:mod:`repro.verification.engine`, so a TA verdict is an independent check
+of theirs.
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ class ReachabilityResult:
 class ModelChecker:
     """Breadth-first explicit-state model checker for TA networks.
 
-    The engine expands states with :meth:`Network.successors`, which reads
+    The search expands states with :meth:`Network.successors`, which reads
     the network's per-location tables (built once, in the network's
     constructor) and returns plain-tuple :class:`NetworkState` successors,
     so the visited set hashes and compares tuples.  The error query reads
@@ -79,25 +73,11 @@ class ModelChecker:
         network: the network to check.
         max_states: exploration cap; exceeding it marks the result as
             truncated.
-        engine: exploration-engine spec or instance (see
-            :func:`repro.verification.engine.resolve_engine`); ``None``
-            reads ``REPRO_VERIFICATION_ENGINE`` and defaults to ``"auto"``.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        max_states: int = DEFAULT_MAX_STATES,
-        engine: object = None,
-    ) -> None:
+    def __init__(self, network: Network, max_states: int = DEFAULT_MAX_STATES) -> None:
         self.network = network
         self.max_states = int(max_states)
-        self.engine = engine
-        # Per-checker home of the compiled kernel graph: the network's
-        # state graph is predicate-independent, so every query through this
-        # checker shares one compiled expansion (engine="kernel" only;
-        # other engines ignore the cache).
-        self._kernel_cache: Dict[str, object] = {}
 
     # ---------------------------------------------------------------- queries
     def reachable(
@@ -105,11 +85,13 @@ class ModelChecker:
         predicate: StatePredicate,
         with_trace: bool = True,
     ) -> ReachabilityResult:
-        """Is some state satisfying ``predicate`` reachable from the initial state?"""
-        # Imported lazily: repro.verification imports repro.ta at module
-        # load, so the reverse import must wait until both are initialised.
-        from ..verification.engine import GenericSource, resolve_engine
+        """Is some state satisfying ``predicate`` reachable from the initial state?
 
+        Level by level, states in discovery order: the predicate runs once
+        per newly visited state, and the found state is part of the witness
+        and counted in ``explored_states``.  The cap stops the search at
+        exactly ``max_states`` visited states, mid-level.
+        """
         start = time.perf_counter()
         network = self.network
         root = network.initial_state()
@@ -117,27 +99,47 @@ class ModelChecker:
         if predicate(network, root):
             return ReachabilityResult(True, 1, time.perf_counter() - start, ())
 
-        source = GenericSource(
-            initial=root,
-            successors=network.successors,
-            is_error=lambda state: predicate(network, state),
-            cache=self._kernel_cache,
+        successors = network.successors
+        max_states = self.max_states
+        visited = {root}
+        frontier: List[NetworkState] = [root]
+        parents: Optional[Dict[NetworkState, Tuple[NetworkState, str]]] = (
+            {} if with_trace else None
         )
-        engine = resolve_engine(self.engine, source=source)
-        outcome = engine.explore(
-            source, max_states=self.max_states, with_parents=with_trace
-        )
+        truncated = False
+        found: Optional[NetworkState] = None
+
+        while frontier:
+            next_frontier: List[NetworkState] = []
+            for state in frontier:
+                for succ, label in successors(state):
+                    if succ in visited:
+                        continue
+                    visited.add(succ)
+                    if parents is not None:
+                        parents[succ] = (state, label)
+                    if predicate(network, succ):
+                        found = succ
+                        break
+                    next_frontier.append(succ)
+                    if len(visited) >= max_states:
+                        truncated = True
+                        break
+                if found is not None or truncated:
+                    next_frontier.clear()
+                    break
+            frontier = next_frontier
 
         elapsed = time.perf_counter() - start
         trace: Tuple[TraceStep, ...] = ()
-        if outcome.error_found and with_trace and outcome.parents is not None:
-            trace = self._build_trace(outcome.parents, outcome.error_state)
+        if found is not None and parents is not None:
+            trace = self._build_trace(parents, found)
         return ReachabilityResult(
-            reachable=outcome.error_found,
-            explored_states=outcome.visited_count,
+            reachable=found is not None,
+            explored_states=len(visited),
             elapsed_seconds=elapsed,
             trace=trace,
-            truncated=outcome.truncated,
+            truncated=truncated,
         )
 
     def invariant_holds(self, predicate: StatePredicate) -> ReachabilityResult:

@@ -5,30 +5,28 @@ Sec. 5 and the pluggable exploration engines the searches run on.
 Engine selection
 ----------------
 
-Every reachability search in this package (and in
-:mod:`repro.ta.model_checker`) runs on a pluggable exploration engine from
-:mod:`repro.verification.engine`.  Two engines exist:
+Every packed-state search in this package runs on an exploration engine
+from :mod:`repro.verification.engine`; the timed-automata model checker
+(:mod:`repro.ta.model_checker`) runs its own loop over network states.
+Two engines exist:
 
 * ``"sequential"`` — :class:`~repro.verification.engine.SequentialPackedEngine`,
-  the frontier-batched single-process BFS.  Lowest constant factor, fully
-  deterministic, the reference implementation.
+  the frontier-batched single-process BFS.  Fully deterministic, the
+  reference implementation.
 * ``"kernel"`` — :class:`~repro.verification.engine.CompiledKernelEngine`,
   the compiled state-graph kernel: the first exploration interns every
   discovered state into a dense ``int32`` id and compiles the transition
   structure into id-indexed CSR arrays cached per configuration; warm
-  re-verification (first-fit retries, benchmark rounds, repeated
-  model-checker queries) replays the frozen graph without re-expanding a
-  single state.  Works for packed *and* generic sources.
+  re-verification (first-fit retries, benchmark rounds) replays the
+  frozen graph without re-expanding a single state.
 
 Selection is per call site (``engine=`` argument on
 :class:`ExhaustiveVerifier`, :func:`verify_slot_sharing`,
-:class:`repro.ta.model_checker.ModelChecker`,
 :func:`repro.dimensioning.first_fit.default_admission_test` and
 :func:`repro.analysis.verification_times.acceleration_comparison`) or global
 through the ``REPRO_VERIFICATION_ENGINE`` environment variable.  The default
-``"auto"`` picks the compiled kernel for every packed system the frontier
-expansion supports (the graph is compiled during the first exploration and
-replayed afterwards) and the sequential engine otherwise.  Both engines
+``"auto"`` is the compiled kernel (the graph is compiled during the first
+exploration and replayed afterwards).  Both engines
 explore the identical state space — identical visited counts on feasible instances and, on every *complete* (non-
 truncated) run, identical verdicts and witness depths.  A run truncated by
 ``max_states`` only vouches for the part it explored, and the engines cap
@@ -44,8 +42,6 @@ from .engine import (
     CompiledKernelEngine,
     ExplorationEngine,
     ExplorationOutcome,
-    GenericSource,
-    PackedStateSource,
     SequentialPackedEngine,
     resolve_engine,
 )
@@ -100,8 +96,6 @@ __all__ = [
     "ExplorationOutcome",
     "SequentialPackedEngine",
     "CompiledKernelEngine",
-    "PackedStateSource",
-    "GenericSource",
     "resolve_engine",
     "ENGINE_ENV_VAR",
     "replay_counterexample",

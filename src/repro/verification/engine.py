@@ -1,30 +1,24 @@
-"""Pluggable exploration engines for the feasibility query.
+"""Exploration engines for the shared-slot feasibility query.
 
-Every verification front-end in this code base — the exhaustive shared-slot
-verifier (:mod:`repro.verification.exhaustive`), the timed-automata model
-checker (:mod:`repro.ta.model_checker`) and, through them, the
-resource-dimensioning flow — answers the same reachability question: *is an
-error transition reachable from the initial state?*  This module factors the
-search itself out of the callers so that new exploration strategies
-drop in as new engines instead of rewrites.
+The exhaustive verifier (:mod:`repro.verification.exhaustive`) and,
+through it, the resource-dimensioning flow answer one reachability
+question: *is a deadline-miss transition reachable from the initial state
+of a* :class:`~repro.scheduler.packed.PackedSlotSystem`?  This module holds
+the breadth-first searches that answer it; engines take the packed system
+directly (states are packed ints, labels are arrival masks, a transition
+whose event bits contain a deadline miss is an error).  The timed-automata
+model checker (:mod:`repro.ta.model_checker`) runs its own loop over
+network states and stays an independent oracle.
 
 The pieces:
 
-* :class:`TransitionSource` — the minimal interface an engine explores: an
-  ``initial`` state plus ``transitions(state) -> [(label, successor,
-  is_error), ...]``.  Two adapters are provided:
-  :class:`PackedStateSource` wraps a
-  :class:`~repro.scheduler.packed.PackedSlotSystem` (states are packed ints,
-  labels are arrival masks, a deadline miss is an error) and
-  :class:`GenericSource` wraps any successor function over hashable states
-  (used by the TA model checker, where the "error" is a state predicate).
 * :class:`ExplorationOutcome` — visited count, truncation flag, error
   witness (parent state + label + error state) and the predecessor store
   needed to rebuild shortest counterexample traces.
 * Two engines:
 
   - :class:`SequentialPackedEngine` — the original verifier's BFS,
-    extracted; its packed path now expands levels through the native
+    extracted; its packed path expands levels through the native
     block-table kernel and dedupes through the fused
     :meth:`~repro.verification.kernel.PackedStateTable.intern_dedup` pass
     while keeping the per-state loop's exact semantics (discovery-order
@@ -34,16 +28,15 @@ The pieces:
     dense ``int32`` ids backing id-indexed CSR transition arrays, compiled
     incrementally during the first run and cached per configuration; warm
     re-verification replays the frozen graph without expanding a single
-    state.  Handles packed *and* generic sources.
+    state.
 
 * :func:`resolve_engine` — turns a spec string (``"auto"``,
   ``"sequential"``, ``"kernel"``), the
   ``REPRO_VERIFICATION_ENGINE`` environment variable or an engine instance
-  into an engine: ``"auto"`` runs expandable packed systems on the kernel
-  (replaying an already-compiled graph) and everything else sequential.
+  into an engine.  ``"auto"`` is the kernel.
 
-Semantics shared by all engines
--------------------------------
+Semantics shared by both engines
+--------------------------------
 
 Both engines explore the same breadth-first level structure, so on a
 *feasible* (error-free) state space they report the identical visited
@@ -68,112 +61,23 @@ verdict only covers the part that engine explored — one engine may reach an
 error transition just beyond another's cutoff.  The equivalence guarantees
 above apply to complete runs.
 
-For packed sources the error is a property of the *transition* (a deadline
-miss) and the error successor is not counted as visited; for generic
-sources the error is a property of the *state* (the model checker's
-predicate) and the found state is counted, exactly like the original
-model-checker loop.
+The error is a property of the *transition* (a deadline miss): the error
+successor is not counted as visited.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Dict, List, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 from ..exceptions import VerificationError
-
-#: States are hashable opaque values: packed ints for slot systems,
-#: ``NetworkState`` instances for timed-automata networks.
-State = Hashable
-
-#: Transition labels: arrival bit masks (int) or edge labels (str).
-Label = Hashable
 
 #: Environment variable overriding the default engine spec.
 ENGINE_ENV_VAR = "REPRO_VERIFICATION_ENGINE"
 
 #: The engine spec strings :func:`resolve_engine` accepts.
 ENGINE_SPECS = ("auto", "sequential", "kernel")
-
-
-# --------------------------------------------------------------------- sources
-@runtime_checkable
-class TransitionSource(Protocol):
-    """What an engine explores.
-
-    Two kinds exist, dispatched on the ``kind`` attribute: ``"packed"``
-    sources expose the underlying
-    :class:`~repro.scheduler.packed.PackedSlotSystem` as ``system`` (engines
-    run directly on its memoized successor tuples, where the *transition*
-    carries the error), and ``"generic"`` sources expose ``edges(state)``
-    plus an ``is_error`` *state* predicate that engines evaluate once per
-    newly visited state (never on the initial state — callers check the
-    root themselves, as the model checker does).
-    """
-
-    kind: str
-    initial: State
-
-
-class PackedStateSource:
-    """Adapter: a :class:`~repro.scheduler.packed.PackedSlotSystem` as a
-    transition source.  Labels are arrival masks; a transition is an error
-    exactly when its event bits contain a deadline miss."""
-
-    kind = "packed"
-
-    __slots__ = ("system", "initial")
-
-    def __init__(self, system) -> None:
-        self.system = system
-        self.initial = system.initial
-
-
-class GenericSource:
-    """Adapter for arbitrary successor functions over hashable states.
-
-    Args:
-        initial: the initial state.
-        successors: callable returning ``(successor, label)`` pairs — the
-            convention of :meth:`repro.ta.network.Network.successors`.
-        is_error: state predicate, evaluated by the engines once per newly
-            visited state; a state satisfying it ends the search.
-        cache: optional mutable mapping owned by the *caller* (one per
-            underlying state space, e.g. per model checker).  The compiled
-            kernel engine stores its predicate-independent
-            :class:`~repro.verification.kernel.GenericStateGraph` under the
-            ``"kernel_graph"`` key, so repeated queries against the same
-            state space replay the compiled graph instead of re-expanding
-            it.  Leave ``None`` for one-shot queries.
-    """
-
-    kind = "generic"
-
-    __slots__ = ("initial", "edges", "is_error", "cache")
-
-    def __init__(
-        self,
-        initial: State,
-        successors: Callable[[State], Iterable[Tuple[State, Label]]],
-        is_error: Callable[[State], bool],
-        cache: Optional[Dict[str, object]] = None,
-    ) -> None:
-        self.initial = initial
-        self.edges = successors
-        self.is_error = is_error
-        self.cache = cache
 
 
 # -------------------------------------------------------------------- outcome
@@ -186,18 +90,16 @@ class ExplorationOutcome:
         visited_count: number of distinct states in the visited set.
         truncated: the search hit ``max_states`` before finishing.
         error_found: an error transition was reached.
-        error_parent: source state of the error transition (``None`` when
-            feasible).
-        error_label: label (arrival mask / edge label) of the error
-            transition.
-        error_state: target state of the error transition.
+        error_parent: packed source state of the error transition
+            (``None`` when feasible).
+        error_label: arrival mask of the error transition.
+        error_state: packed target state of the error transition.
         levels: number of completed BFS levels.
-        parents: predecessor store ``successor -> (parent, label)`` kept
-            when the caller asked for witness traces; spans exactly the
-            visited states (plus, for generic sources, the error state).
-            A plain dict for the loop engines, an id-based lazy view
-            (:class:`~repro.verification.kernel.CsrParentStore` /
-            :class:`~repro.verification.kernel.GenericParentStore`) for the
+        parents: predecessor store ``successor -> (parent, arrival mask)``
+            kept when the caller asked for witness traces; spans exactly
+            the visited states.  A plain dict for the sequential engine, an
+            id-based lazy view
+            (:class:`~repro.verification.kernel.CsrParentStore`) for the
             compiled kernel — consumers should rely on the ``Mapping``
             interface only.
     """
@@ -206,11 +108,11 @@ class ExplorationOutcome:
     visited_count: int
     truncated: bool
     error_found: bool
-    error_parent: Optional[State] = None
-    error_label: Optional[Label] = None
-    error_state: Optional[State] = None
+    error_parent: Optional[int] = None
+    error_label: Optional[int] = None
+    error_state: Optional[int] = None
     levels: int = 0
-    parents: Optional[Mapping[State, Tuple[State, Label]]] = None
+    parents: Optional[Mapping[int, Tuple[int, int]]] = None
 
     @property
     def feasible(self) -> bool:
@@ -226,11 +128,13 @@ class ExplorationEngine(Protocol):
 
     def explore(
         self,
-        source: TransitionSource,
+        system,
         max_states: int,
         with_parents: bool = True,
     ) -> ExplorationOutcome:
-        """Run the reachability search up to ``max_states`` visited states."""
+        """Search ``system`` (a
+        :class:`~repro.scheduler.packed.PackedSlotSystem`) for a
+        deadline-miss transition, up to ``max_states`` visited states."""
         ...
 
 
@@ -238,8 +142,8 @@ class ExplorationEngine(Protocol):
 class SequentialPackedEngine:
     """The original frontier-batched BFS, extracted from the verifier.
 
-    On packed sources whose configuration supports the native
-    block-table kernel, each BFS level expands through
+    On configurations the native block-table kernel supports, each BFS
+    level expands through
     :meth:`~repro.scheduler.packed.PackedSlotSystem.expand_frontier` and
     dedupes through the fused
     :meth:`~repro.verification.kernel.PackedStateTable.intern_dedup` pass —
@@ -247,36 +151,30 @@ class SequentialPackedEngine:
     are accepted in discovery (row) order, the search stops at the first
     error transition in that order, and the state cap fires mid-level at
     exactly the state that reaches it.  Configurations the kernel cannot
-    expand (see ``can_expand_frontier``) and generic sources run the
-    original Python loop.
+    expand (see ``can_expand_frontier``) run the original Python loop.
     """
 
     name = "sequential"
 
     def explore(
         self,
-        source: TransitionSource,
+        system,
         max_states: int,
         with_parents: bool = True,
     ) -> ExplorationOutcome:
-        if getattr(source, "kind", "generic") == "packed":
-            if getattr(source.system, "can_expand_frontier", False):
-                return self._explore_packed_batched(
-                    source, int(max_states), with_parents
-                )
-            return self._explore_packed_loop(source, int(max_states), with_parents)
-        return self._explore_generic(source, int(max_states), with_parents)
+        if system.can_expand_frontier:
+            return self._explore_batched(system, int(max_states), with_parents)
+        return self._explore_loop(system, int(max_states), with_parents)
 
-    def _explore_packed_batched(
-        self, source: PackedStateSource, max_states: int, with_parents: bool
+    def _explore_batched(
+        self, system, max_states: int, with_parents: bool
     ) -> ExplorationOutcome:
         import numpy as np
 
         from ..scheduler.packed import unpack_words
         from .kernel import PackedStateTable
 
-        system = source.system
-        root = source.initial
+        root = system.initial
         words = system.packed_words
         visited = PackedStateTable(words)
         frontier_words = system.pack_words([root])
@@ -360,13 +258,12 @@ class SequentialPackedEngine:
             parents=parents,
         )
 
-    def _explore_packed_loop(
-        self, source: PackedStateSource, max_states: int, with_parents: bool
+    def _explore_loop(
+        self, system, max_states: int, with_parents: bool
     ) -> ExplorationOutcome:
-        system = source.system
         successors = system.successors
         miss_field = system.miss_field
-        root = source.initial
+        root = system.initial
 
         visited = {root}
         frontier: List[int] = [root]
@@ -415,64 +312,12 @@ class SequentialPackedEngine:
             parents=parents,
         )
 
-    def _explore_generic(
-        self, source: TransitionSource, max_states: int, with_parents: bool
-    ) -> ExplorationOutcome:
-        root = source.initial
-        edges = source.edges
-        is_error = source.is_error
-
-        visited = {root}
-        frontier: List[State] = [root]
-        parents: Optional[Dict[State, Tuple[State, Label]]] = {} if with_parents else None
-
-        truncated = False
-        levels = 0
-        error: Optional[Tuple[State, Label, State]] = None
-
-        while frontier:
-            next_frontier: List[State] = []
-            for state in frontier:
-                for succ, label in edges(state):
-                    if succ in visited:
-                        continue
-                    visited.add(succ)
-                    if parents is not None:
-                        parents[succ] = (state, label)
-                    # The predicate runs once per newly visited state; the
-                    # found state is part of the witness and is counted
-                    # (mirrors the original model-checker loop).
-                    if is_error(succ):
-                        error = (state, label, succ)
-                        break
-                    next_frontier.append(succ)
-                    if len(visited) >= max_states:
-                        truncated = True
-                        break
-                if error is not None or truncated:
-                    next_frontier.clear()
-                    break
-            frontier = next_frontier
-            levels += 1
-
-        return ExplorationOutcome(
-            engine=self.name,
-            visited_count=len(visited),
-            truncated=truncated,
-            error_found=error is not None,
-            error_parent=error[0] if error else None,
-            error_label=error[1] if error else None,
-            error_state=error[2] if error else None,
-            levels=levels,
-            parents=parents,
-        )
-
 
 # -------------------------------------------------------------------- kernel
 class CompiledKernelEngine:
     """Compiled state-graph kernel: intern once, replay forever.
 
-    For packed sources the engine explores through the
+    The engine explores through the
     :class:`~repro.verification.kernel.CompiledStateGraph` cached on the
     :class:`~repro.scheduler.packed.PackedSlotSystem`: the first (cold) run
     interns every discovered state into a dense ``int32`` id, keeps the
@@ -481,13 +326,6 @@ class CompiledKernelEngine:
     same configuration — first-fit dimensioning retries, benchmark rounds,
     repeated admission tests — replays the frozen level structure without
     expanding, packing or hashing a single state.
-
-    Generic sources (the TA model checker) compile into a
-    :class:`~repro.verification.kernel.GenericStateGraph`, which is
-    *predicate-independent*: pass a ``cache`` dict to
-    :class:`GenericSource` (the model checker does) and error-reachability,
-    invariant and state-count queries against the same network all replay
-    one compiled graph.
 
     Semantics are level-synchronous: identical counts to the sequential
     engine on feasible complete runs, the same witness depth on infeasible
@@ -498,27 +336,15 @@ class CompiledKernelEngine:
 
     def explore(
         self,
-        source: TransitionSource,
+        system,
         max_states: int,
         with_parents: bool = True,
     ) -> ExplorationOutcome:
-        from . import kernel as _kernel
+        from .kernel import compiled_graph_for
 
-        if getattr(source, "kind", "generic") == "packed":
-            graph = _kernel.compiled_graph_for(source.system)
-            visited_count, levels, truncated, error, parents = graph.explore(
-                int(max_states), with_parents
-            )
-        else:
-            cache = getattr(source, "cache", None)
-            graph = cache.get("kernel_graph") if cache is not None else None
-            if graph is None or graph.states[0] != source.initial:
-                graph = _kernel.GenericStateGraph(source.initial, source.edges)
-                if cache is not None:
-                    cache["kernel_graph"] = graph
-            visited_count, levels, truncated, error, parents = graph.explore(
-                int(max_states), source.is_error, with_parents
-            )
+        visited_count, levels, truncated, error, parents = compiled_graph_for(
+            system
+        ).explore(int(max_states), with_parents)
         return ExplorationOutcome(
             engine=self.name,
             visited_count=visited_count,
@@ -533,35 +359,19 @@ class CompiledKernelEngine:
 
 
 # ------------------------------------------------------------------ selection
-def resolve_engine(
-    spec: object = None,
-    source: Optional[TransitionSource] = None,
-    max_states: Optional[int] = None,
-) -> ExplorationEngine:
+def resolve_engine(spec: object = None) -> ExplorationEngine:
     """Turn an engine spec into an engine instance.
 
     Args:
         spec: ``None`` (read ``REPRO_VERIFICATION_ENGINE``, default
             ``"auto"``), an :class:`ExplorationEngine` instance (returned as
             is), or one of the spec strings in :data:`ENGINE_SPECS`.
-        source: the transition source about to be explored; ``"auto"`` uses
-            it to size the decision: a packed system whose compiled state
-            graph is already frozen replays on the kernel engine for free,
-            every other packed source the expansion kernel can expand
-            *compiles* on the kernel engine (so later ``auto`` runs
-            replay), and everything else runs sequential.  Counts of
-            ``auto`` runs are therefore level-synchronous for packed
-            sources (see the semantics notes above and
-            ``VerificationResult.count_semantics``); only generic
-            sources and kernel-incompatible configurations report the
-            sequential engine's discovery-order counts.
-        max_states: the exploration cap of the query about to run.  The
-            ``"auto"`` kernel-*replay* upgrade only engages when the frozen
-            graph fits strictly under this cap — i.e. when the replay is
-            guaranteed to report the identical outcome (count, levels,
-            truncation, verdict) a fresh compilation would.  Pass ``None``
-            to disable the replay upgrade (the compile-by-default choice
-            for expandable packed sources still applies).
+            ``"auto"`` and ``"kernel"`` both give the compiled kernel: it
+            compiles the graph during the first exploration and replays it
+            afterwards, and configurations the native expander cannot take
+            compile through per-state successor rows.  Counts of ``auto``
+            runs are therefore level-synchronous (see the semantics notes
+            above and ``VerificationResult.count_semantics``).
     """
     if spec is not None and not isinstance(spec, str):
         if isinstance(spec, ExplorationEngine):
@@ -571,28 +381,10 @@ def resolve_engine(
         spec = os.environ.get(ENGINE_ENV_VAR) or "auto"
     normalized = spec.strip().lower()
 
-    if normalized == "auto":
-        if source is not None and getattr(source, "kind", "generic") == "packed":
-            graph = getattr(source.system, "compiled_graph", None)
-            # A frozen, cap-fitting compiled graph replays the whole search
-            # without expanding a state.  Otherwise an expandable packed
-            # source compiles its state graph during this exploration, so
-            # every later ``auto`` run of the same configuration replays it
-            # in microseconds.  Counts are level-synchronous (see
-            # :class:`CompiledKernelEngine`).
-            replays = (
-                graph is not None
-                and graph.complete
-                and max_states is not None
-                and graph.state_count < max_states
-            )
-            if replays or source.system.can_expand_frontier:
-                return CompiledKernelEngine()
-        return SequentialPackedEngine()
+    if normalized in ("auto", "kernel"):
+        return CompiledKernelEngine()
     if normalized == "sequential":
         return SequentialPackedEngine()
-    if normalized == "kernel":
-        return CompiledKernelEngine()
     raise VerificationError(
         f"unknown exploration engine {spec!r}; expected one of "
         + ", ".join(repr(name) for name in ENGINE_SPECS)

@@ -46,7 +46,7 @@ from ..exceptions import VerificationError
 from ..scheduler.packed import packed_system_for
 from ..scheduler.slot_system import SlotSystemConfig
 from ..switching.profile import SwitchingProfile
-from .engine import CompiledKernelEngine, PackedStateSource, resolve_engine
+from .engine import CompiledKernelEngine, resolve_engine
 from .kernel import (
     GRAPH_DIR_ENV_VAR,
     checkpoint_policy_from_env,
@@ -78,8 +78,8 @@ class ExhaustiveVerifier:
             .CompiledStateGraph.save`).  When set — or when the
             ``REPRO_GRAPH_DIR`` environment variable names one — the
             verifier installs the configuration's cached graph before
-            exploring (so the kernel engine, and ``"auto"`` once complete,
-            replay it instead of re-expanding) and saves freshly completed
+            exploring (so the kernel engine replays it instead of
+            re-expanding) and saves freshly completed
             graphs back, shipping warm graphs across processes and CI
             jobs.
     """
@@ -136,12 +136,13 @@ class ExhaustiveVerifier:
             The :class:`VerificationResult`.
         """
         start_time = time.perf_counter()
-        source = PackedStateSource(self.packed)
-        engine = resolve_engine(self.engine, source=source, max_states=self.max_states)
+        engine = resolve_engine(self.engine)
         claim = self._compile_claim(engine)
         try:
             outcome = engine.explore(
-                source, max_states=self.max_states, with_parents=with_counterexample
+                self.packed,
+                max_states=self.max_states,
+                with_parents=with_counterexample,
             )
 
             elapsed = time.perf_counter() - start_time
@@ -229,11 +230,8 @@ class ExhaustiveVerifier:
                 if graph is None and store.load_checkpoint(self.packed):
                     self.resumed_from_checkpoint = True
                 self._arm_checkpoints(store)
-            engine = CompiledKernelEngine()
-            engine.explore(
-                PackedStateSource(self.packed),
-                max_states=self.max_states,
-                with_parents=False,
+            CompiledKernelEngine().explore(
+                self.packed, max_states=self.max_states, with_parents=False
             )
             if self.graph_dir:
                 maybe_save_graph(self.packed, self.graph_dir)

@@ -25,20 +25,12 @@ that this module eliminates:
   :class:`~repro.scheduler.packed.PackedSlotSystem`
   (``packed_system_for``-style), so it shares the lifetime and the
   ``clear_packed_caches`` policy of the successor memo.
-* **Generic state spaces** (the TA model checker's
-  :class:`~repro.ta.network.NetworkState` graphs) get the same warm-replay
-  treatment from :class:`GenericStateGraph`: states intern into dense ids
-  through a dict, the CSR lives in plain lists, and the error *predicate*
-  stays a per-query parameter — the expensive successor expansion is
-  compiled once per network, then reachability / invariant queries with any
-  predicate replay it.
 
-Predecessor stores are id-based: :class:`CsrParentStore` and
-:class:`GenericParentStore` expose the compiled parent arrays through the
-read-only ``Mapping`` interface the callers already consume (``successor
-state -> (parent state, label)``), so trace reconstruction works unchanged,
-plus an ``arrival_chain`` fast path that walks ids instead of hashing
-packed ints.
+The predecessor store is id-based: :class:`CsrParentStore` exposes the
+compiled parent arrays through the read-only ``Mapping`` interface the
+callers already consume (``successor state -> (parent state, label)``), so
+trace reconstruction works unchanged, plus an ``arrival_chain`` fast path
+that walks ids instead of hashing packed ints.
 
 Exploration is level-synchronous: identical visited counts to the
 sequential engine on feasible complete runs, identical error depth on
@@ -53,7 +45,7 @@ import itertools
 import logging
 import os
 from collections.abc import Mapping
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -68,9 +60,7 @@ __all__ = [
     "PackedStateTable",
     "CheckpointPolicy",
     "CompiledStateGraph",
-    "GenericStateGraph",
     "CsrParentStore",
-    "GenericParentStore",
     "checkpoint_policy_from_env",
     "compiled_graph_for",
     "config_fingerprint",
@@ -988,162 +978,6 @@ class CompiledStateGraph:
         return visited_count, levels, truncated, error, parents
 
 
-class GenericParentStore(Mapping):
-    """Id-based predecessor store of a compiled generic graph (see
-    :class:`CsrParentStore`; labels here are edge labels, not masks)."""
-
-    __slots__ = ("_graph", "_count")
-
-    def __init__(self, graph: "GenericStateGraph", visible_count: int) -> None:
-        self._graph = graph
-        self._count = int(visible_count)
-
-    def _id_of(self, state: Hashable) -> int:
-        state_id = self._graph.id_of.get(state, -1)
-        if state_id < 1 or state_id >= self._count:
-            raise KeyError(state)
-        return state_id
-
-    def __getitem__(self, state: Hashable) -> Tuple[Hashable, Hashable]:
-        graph = self._graph
-        state_id = self._id_of(state)
-        return (
-            graph.states[graph.parent_ids[state_id - 1]],
-            graph.parent_labels[state_id - 1],
-        )
-
-    def __contains__(self, state: object) -> bool:
-        try:
-            self._id_of(state)
-        except (KeyError, TypeError):
-            return False
-        return True
-
-    def __len__(self) -> int:
-        return max(self._count - 1, 0)
-
-    def __iter__(self):
-        return iter(self._graph.states[1 : self._count])
-
-
-class GenericStateGraph:
-    """Compiled id graph over an arbitrary successor function.
-
-    The generic counterpart of :class:`CompiledStateGraph` for hashable
-    opaque states (TA network states): states intern into dense ids through
-    a dict, the CSR lives in plain Python lists, and — crucially — the
-    graph is *predicate-independent*: the error predicate is evaluated per
-    query against the replayed levels, so one compiled network answers
-    error-reachability, invariant and state-count queries without
-    re-running a single ``successors`` call.  Cache one instance per
-    network via the ``cache`` slot of
-    :class:`~repro.verification.engine.GenericSource`.
-    """
-
-    __slots__ = (
-        "states",
-        "id_of",
-        "level_ptr",
-        "expanded_levels",
-        "complete",
-        "succ_indptr",
-        "succ_ids",
-        "succ_labels",
-        "parent_ids",
-        "parent_labels",
-        "_successors",
-    )
-
-    def __init__(self, initial: Hashable, successors) -> None:
-        self._successors = successors
-        self.states: List[Hashable] = [initial]
-        self.id_of: Dict[Hashable, int] = {initial: 0}
-        self.level_ptr: List[int] = [0, 1]
-        self.expanded_levels = 0
-        self.complete = False
-        self.succ_indptr: List[int] = [0]
-        self.succ_ids: List[int] = []
-        self.succ_labels: List[Hashable] = []
-        self.parent_ids: List[int] = []
-        self.parent_labels: List[Hashable] = []
-
-    def _expand_next_level(self) -> None:
-        k = self.expanded_levels
-        first, last = self.level_ptr[k], self.level_ptr[k + 1]
-        states = self.states
-        id_of = self.id_of
-        successors = self._successors
-        succ_ids = self.succ_ids
-        succ_labels = self.succ_labels
-        for state_id in range(first, last):
-            for successor, label in successors(states[state_id]):
-                succ_id = id_of.get(successor)
-                if succ_id is None:
-                    succ_id = len(states)
-                    id_of[successor] = succ_id
-                    states.append(successor)
-                    self.parent_ids.append(state_id)
-                    self.parent_labels.append(label)
-                succ_ids.append(succ_id)
-                succ_labels.append(label)
-            self.succ_indptr.append(len(succ_ids))
-        self.expanded_levels = k + 1
-        if len(states) == last:
-            self.complete = True
-        else:
-            self.level_ptr.append(len(states))
-
-    def explore(self, max_states: int, is_error, with_parents: bool) -> Tuple[
-        int,
-        int,
-        bool,
-        Optional[Tuple[Hashable, Hashable, Hashable]],
-        Optional[GenericParentStore],
-    ]:
-        """Replay (and extend on demand) the compiled graph for one query.
-
-        ``is_error`` runs once per newly accepted state per query, in id
-        (discovery) order — the error state is counted but never expanded
-        further by this query, matching the generic-source semantics of the
-        other engines.  Returns ``(visited_count, levels, truncated, error,
-        parents)`` with ``error = (parent state, label, error state)``.
-        """
-        max_states = int(max_states)
-        visited_count = 1
-        levels = 0
-        truncated = False
-        error: Optional[Tuple[Hashable, Hashable, Hashable]] = None
-        k = 0
-        while True:
-            if self.expanded_levels <= k and not self.complete:
-                self._expand_next_level()
-            levels += 1
-            if len(self.level_ptr) <= k + 2:
-                break
-            low, high = self.level_ptr[k + 1], self.level_ptr[k + 2]
-            remaining = max_states - visited_count
-            if high - low >= remaining:
-                truncated = True
-                high = low + max(remaining, 0)
-                visited_count += high - low
-            else:
-                visited_count += high - low
-            for state_id in range(low, high):
-                if is_error(self.states[state_id]):
-                    parent_id = self.parent_ids[state_id - 1]
-                    error = (
-                        self.states[parent_id],
-                        self.parent_labels[state_id - 1],
-                        self.states[state_id],
-                    )
-                    break
-            if error is not None or truncated:
-                break
-            k += 1
-        parents = GenericParentStore(self, visited_count) if with_parents else None
-        return visited_count, levels, truncated, error, parents
-
-
 def compiled_graph_for(system) -> CompiledStateGraph:
     """Shared compiled graph of a packed system (built on first use).
 
@@ -1226,8 +1060,11 @@ def load_graph(system, path) -> CompiledStateGraph:
 
 
 def graph_cache_path(directory: str, config) -> str:
-    """Cache filename of a configuration's graph inside a cache directory."""
-    return os.path.join(directory, f"graph-{config_fingerprint(config)}.npz")
+    """Cache filename of a configuration's graph inside a cache directory
+    (the :class:`~repro.verification.store.GraphStore` entry path)."""
+    from .store import GraphStore
+
+    return GraphStore(directory).entry_path(config_fingerprint(config))
 
 
 def maybe_load_graph(system, directory: Optional[str]) -> bool:

@@ -59,7 +59,7 @@ class VerificationResult:
             count is engine-independent; they differ in when *inside* a
             level they stop.  ``"level-synchronous"`` — the canonical
             semantics of the compiled-kernel engine (and hence of
-            ``engine="auto"`` on packed sources): the level that
+            ``engine="auto"``): the level that
             found the error is counted in full, making the number
             deterministic.
             ``"discovery-order"`` — the sequential reference engine stops

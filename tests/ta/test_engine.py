@@ -236,3 +236,69 @@ class TestModelChecker:
         checker = ModelChecker(network, max_states=2)
         result = checker.reachable(lambda net, state: False)
         assert result.truncated
+
+
+class TestSearchLoop:
+    """The checker's own BFS: counting, capping and witness length.
+
+    ``make_network(3)`` discovers its nine states in the order Run@0..3,
+    Done@3, Run@4, Done@4, Run@5, Done@5.
+    """
+
+    def test_found_state_is_counted(self):
+        network = make_network(3)
+        result = ModelChecker(network).reachable(
+            lambda net, state: state.locations[0] == "Done"
+        )
+        assert result.reachable and not result.truncated
+        # Run@0..3 plus the found Done@3.
+        assert result.explored_states == 5
+        assert result.trace[-1].state.locations == ("Done",)
+        assert count_reachable_states(network) == 9
+
+    @pytest.mark.parametrize("cap", [2, 5, 8])
+    def test_capped_run_stops_at_exactly_max_states(self, cap):
+        network = make_network(3)
+        result = ModelChecker(network, max_states=cap).reachable(
+            lambda net, state: False, with_trace=False
+        )
+        assert result.truncated and not result.reachable
+        assert result.explored_states == cap
+        complete = ModelChecker(network, max_states=10).reachable(
+            lambda net, state: False, with_trace=False
+        )
+        assert not complete.truncated and complete.explored_states == 9
+
+    def test_trace_is_shortest(self):
+        # Time cannot pass before Goal.  A -> S -> Goal takes two steps;
+        # the chains through B1 and B2 take three, and the first and last
+        # edges out of A start them, so a depth-first search in either
+        # edge order would return a three-step trace.
+        urgent = [Location(name, urgent=True) for name in ("A", "B1", "B2", "C1", "C2", "S")]
+        automaton = TimedAutomaton(
+            "paths",
+            urgent + [Location("Goal")],
+            [
+                Edge("A", "B1"),
+                Edge("A", "S"),
+                Edge("A", "B2"),
+                Edge("B1", "C1"),
+                Edge("B2", "C2"),
+                Edge("C1", "Goal"),
+                Edge("C2", "Goal"),
+                Edge("S", "Goal"),
+            ],
+            "A",
+        )
+        network = Network([automaton], clocks={}, variables={})
+        result = ModelChecker(network).reachable(
+            lambda net, state: state.locations[0] == "Goal"
+        )
+        assert result.reachable
+        assert [step.state.locations[0] for step in result.trace] == ["S", "Goal"]
+        # A, then B1, S, B2, then C1 before the found Goal.
+        assert result.explored_states == 6
+        state = network.initial_state()
+        for step in result.trace:
+            assert (step.state, step.label) in network.successors(state)
+            state = step.state

@@ -20,13 +20,11 @@ from repro.verification import (
     ENGINE_ENV_VAR,
     CompiledKernelEngine,
     ExplorationOutcome,
-    PackedStateSource,
     SequentialPackedEngine,
     instance_budgets,
     resolve_engine,
     verify_slot_sharing,
 )
-from repro.verification.engine import GenericSource
 
 ENGINE_SPECS = ["sequential", "kernel"]
 
@@ -36,8 +34,9 @@ def _engine_of(spec: str):
 
 
 def _explore(spec, config, with_parents=True, max_states=5_000_000) -> ExplorationOutcome:
-    source = PackedStateSource(PackedSlotSystem(config))
-    return _engine_of(spec).explore(source, max_states=max_states, with_parents=with_parents)
+    return _engine_of(spec).explore(
+        PackedSlotSystem(config), max_states=max_states, with_parents=with_parents
+    )
 
 
 class TestEngineEquivalence:
@@ -221,40 +220,6 @@ class TestEngineSemantics:
             outcome = _explore(spec, config, with_parents=False)
             assert outcome.parents is None, spec
 
-    def test_generic_source_exploration(self):
-        """A tiny explicit graph: engines agree on counts and witness."""
-
-        graph = {0: [(1, "a"), (2, "b")], 1: [(3, "c")], 2: [(3, "d")], 3: []}
-
-        def successors(state):
-            return [(succ, label) for succ, label in graph[state]]
-
-        for spec in ["sequential", "kernel"]:
-            source = GenericSource(
-                initial=0, successors=successors, is_error=lambda s: s == 3
-            )
-            outcome = _engine_of(spec).explore(source, max_states=100)
-            assert outcome.error_found, spec
-            assert outcome.error_state == 3, spec
-            # The error state is part of the witness and is counted.
-            assert outcome.visited_count == 4, spec
-
-    def test_model_checker_counts_identical_across_engines(
-        self, small_profile, second_small_profile
-    ):
-        from repro.ta import ModelChecker
-        from repro.verification import SlotSharingModelBuilder
-
-        network = SlotSharingModelBuilder([small_profile, second_small_profile]).build()
-        reference = ModelChecker(network, engine="sequential").error_reachable(
-            with_trace=False
-        )
-        kernel = ModelChecker(network, engine="kernel").error_reachable(
-            with_trace=False
-        )
-        assert kernel.reachable == reference.reachable is False
-        assert kernel.explored_states == reference.explored_states
-
 
 class TestSequentialBatchedPath:
     def test_batched_and_loop_paths_agree(
@@ -329,16 +294,35 @@ class TestEngineSelection:
         assert result.method == "exhaustive"
 
     def test_auto_compiles_kernel_graph_for_packed_sources(self, small_profile):
-        # "auto" defaults packed sources to the compiled kernel: the first
-        # exploration compiles the graph, later runs replay it.
-        config = SlotSystemConfig.from_profiles((small_profile,))
-        source = PackedStateSource(PackedSlotSystem(config))
-        assert isinstance(resolve_engine("auto", source=source), CompiledKernelEngine)
+        # "auto" is the compiled kernel: the first exploration compiles the
+        # graph, later runs replay it.
+        assert isinstance(resolve_engine("auto"), CompiledKernelEngine)
+        system = PackedSlotSystem(SlotSystemConfig.from_profiles((small_profile,)))
+        outcome = resolve_engine("auto").explore(system, max_states=5_000_000)
+        assert outcome.engine == "kernel"
+        assert system.compiled_graph is not None and system.compiled_graph.complete
 
-    def test_auto_picks_sequential_when_kernel_unavailable(self, small_profile):
-        config = SlotSystemConfig.from_profiles((small_profile,))
-        system = PackedSlotSystem(config)
-        expander = system._frontier_expander()
-        expander.ok = False  # simulate a configuration too wide for the kernel
-        source = PackedStateSource(system)
-        assert isinstance(resolve_engine("auto", source=source), SequentialPackedEngine)
+    def test_auto_resolves_to_kernel_without_expander(
+        self, small_profile, second_small_profile, tight_profile, monkeypatch
+    ):
+        """With the native expander off, ``auto`` still runs the kernel,
+        which compiles through per-state successor rows and agrees with the
+        sequential loop on verdict and levels, and on the count when
+        feasible."""
+        monkeypatch.setattr(
+            PackedSlotSystem, "can_expand_frontier", property(lambda self: False)
+        )
+        assert isinstance(resolve_engine("auto"), CompiledKernelEngine)
+        feasible = SlotSystemConfig.from_profiles((small_profile, second_small_profile))
+        infeasible = SlotSystemConfig.from_profiles(
+            (small_profile, second_small_profile, tight_profile)
+        )
+        for config, expect_feasible in ((feasible, True), (infeasible, False)):
+            auto = _explore("auto", config)
+            sequential = _explore("sequential", config)
+            assert auto.engine == "kernel"
+            assert auto.feasible == sequential.feasible == expect_feasible
+            assert auto.levels == sequential.levels
+            assert not auto.truncated and not sequential.truncated
+            if expect_feasible:
+                assert auto.visited_count == sequential.visited_count

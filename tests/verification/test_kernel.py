@@ -2,8 +2,7 @@
 
 Covers the open-addressing hash interner (collision-heavy synthetic keys,
 >64-bit multi-word states, resize-under-growth), the incremental CSR
-compilation, warm replay identity against the reference engine, and the
-generic-graph reuse path of the TA model checker.
+compilation and warm replay identity against the reference engine.
 """
 
 from __future__ import annotations
@@ -14,15 +13,12 @@ import pytest
 from repro.scheduler.packed import PackedSlotSystem, packed_system_for
 from repro.scheduler.slot_system import SlotSystemConfig
 from repro.verification import (
-    CompiledKernelEngine,
-    PackedStateSource,
     SequentialPackedEngine,
     resolve_engine,
     verify_slot_sharing,
 )
 from repro.verification.kernel import (
     CompiledStateGraph,
-    GenericStateGraph,
     PackedStateTable,
     as_void,
     compiled_graph_for,
@@ -231,9 +227,7 @@ class TestCompiledStateGraph:
 
     def test_cold_compile_matches_sequential(self, small_profile, second_small_profile):
         system = self._system(small_profile, second_small_profile)
-        reference = SequentialPackedEngine().explore(
-            PackedStateSource(system), max_states=5_000_000
-        )
+        reference = SequentialPackedEngine().explore(system, max_states=5_000_000)
         graph = CompiledStateGraph(system)
         count, levels, truncated, error, parents = graph.explore(5_000_000, True)
         assert error is None and not truncated
@@ -302,7 +296,7 @@ class TestCompiledStateGraph:
     ):
         system = self._system(small_profile, second_small_profile)
         reference = SequentialPackedEngine().explore(
-            PackedStateSource(system), max_states=5_000_000, with_parents=False
+            system, max_states=5_000_000, with_parents=False
         )
         graph = CompiledStateGraph(system)
         small = graph.explore(40, False)
@@ -323,30 +317,30 @@ class TestCompiledStateGraph:
 
     def test_auto_replays_complete_graph(self, small_profile):
         config = SlotSystemConfig.from_profiles((small_profile,))
-        source = PackedStateSource(packed_system_for(config))
+        system = packed_system_for(config)
+        system.clear_memo()
         cap = 5_000_000
-        # Expandable packed sources compile on the kernel engine from the
-        # very first "auto" run (count semantics are level-synchronous)...
-        assert isinstance(
-            resolve_engine("auto", source=source, max_states=cap),
-            CompiledKernelEngine,
-        )
-        CompiledKernelEngine().explore(source, max_states=cap)
-        graph = source.system.compiled_graph
-        assert graph.complete
-        # ... and replay the frozen graph on every later run, with or
+        # "auto" compiles the graph on its first run...
+        cold = resolve_engine("auto").explore(system, max_states=cap)
+        graph = system.compiled_graph
+        assert cold.engine == "kernel" and graph.complete
+        transitions = graph.transition_count
+        expanded = graph.expanded_levels
+        # ... and replays the frozen graph on every later run, with or
         # without a cap (truncation is a deterministic id prefix).
-        assert isinstance(
-            resolve_engine("auto", source=source, max_states=cap),
-            CompiledKernelEngine,
+        warm = resolve_engine("auto").explore(system, max_states=cap)
+        assert (warm.visited_count, warm.levels, warm.truncated) == (
+            cold.visited_count,
+            cold.levels,
+            cold.truncated,
         )
-        assert isinstance(
-            resolve_engine("auto", source=source), CompiledKernelEngine
+        capped = resolve_engine("auto").explore(
+            system, max_states=graph.state_count
         )
-        assert isinstance(
-            resolve_engine("auto", source=source, max_states=graph.state_count),
-            CompiledKernelEngine,
-        )
+        assert capped.visited_count == graph.state_count
+        assert system.compiled_graph is graph
+        assert graph.transition_count == transitions
+        assert graph.expanded_levels == expanded
 
     def test_error_graph_replays_same_witness(
         self, small_profile, second_small_profile, tight_profile
@@ -359,78 +353,3 @@ class TestCompiledStateGraph:
         assert warm.explored_states == cold.explored_states
         assert warm.counterexample == cold.counterexample
         assert warm.counterexample[-1].missed
-
-
-class TestGenericStateGraph:
-    GRAPH = {0: [(1, "a"), (2, "b")], 1: [(3, "c")], 2: [(3, "d")], 3: []}
-
-    def _graph(self):
-        return GenericStateGraph(0, lambda state: self.GRAPH[state])
-
-    def test_predicate_independent_reuse(self):
-        calls = []
-
-        def successors(state):
-            calls.append(state)
-            return self.GRAPH[state]
-
-        graph = GenericStateGraph(0, successors)
-        count, levels, truncated, error, _ = graph.explore(100, lambda s: False, False)
-        assert (count, truncated, error) == (4, False, None)
-        first_calls = len(calls)
-        # A different predicate replays the compiled graph: no new calls.
-        count, levels, truncated, error, parents = graph.explore(
-            100, lambda s: s == 3, True
-        )
-        assert error == (1, "c", 3)
-        assert count == 4
-        assert len(calls) == first_calls
-        assert parents[3] == (1, "c")
-        assert set(parents) == {1, 2, 3}
-
-    def test_truncation_prefix(self):
-        graph = self._graph()
-        count, _, truncated, error, parents = graph.explore(2, lambda s: False, True)
-        assert truncated and count == 2 and error is None
-        assert set(parents) == {1}
-
-    def test_error_state_counted(self):
-        graph = self._graph()
-        count, levels, _, error, _ = graph.explore(100, lambda s: s == 3, False)
-        assert error is not None and error[2] == 3
-        assert count == 4
-        assert levels == 2
-
-    def test_model_checker_kernel_engine_counts(self, small_profile):
-        from repro.ta import ModelChecker
-        from repro.verification import SlotSharingModelBuilder
-
-        network = SlotSharingModelBuilder([small_profile]).build()
-        reference = ModelChecker(network, engine="sequential")
-        kernel = ModelChecker(network, engine="kernel")
-        ref = reference.error_reachable(with_trace=False)
-        cold = kernel.error_reachable(with_trace=False)
-        assert cold.reachable == ref.reachable is False
-        assert cold.explored_states == ref.explored_states
-        # Second query (different predicate) reuses the compiled graph.
-        assert "kernel_graph" in kernel._kernel_cache
-        graph = kernel._kernel_cache["kernel_graph"]
-        invariant = kernel.invariant_holds(lambda n, s: True)
-        assert not invariant.reachable
-        assert kernel._kernel_cache["kernel_graph"] is graph
-        assert invariant.explored_states == ref.explored_states
-
-    def test_model_checker_kernel_trace_matches_sequential(self, small_profile):
-        from repro.ta import ModelChecker
-        from repro.verification import SlotSharingModelBuilder
-
-        network = SlotSharingModelBuilder([small_profile]).build()
-
-        def predicate(net, state):
-            return any(value >= 2 for value in state.clocks)
-
-        ref = ModelChecker(network, engine="sequential").reachable(predicate)
-        got = ModelChecker(network, engine="kernel").reachable(predicate)
-        assert got.reachable == ref.reachable
-        if ref.reachable:
-            assert len(got.trace) == len(ref.trace)
